@@ -17,10 +17,12 @@
 #   make bench-baseline — rerun the perf benchmarks and rewrite the baseline
 #   make tables     — regenerate every experiment table ("reproduce the paper")
 #   make fuzz-short — a few seconds of coverage-guided fuzzing per config
-#                     loader; crashes fail the target
+#                     loader and of the config canonical hash; crashes fail
+#                     the target
 #   make resume-smoke — the crash-safety gate: SIGINT a journaled sweep
 #                     mid-flight, resume it, and require the resumed grid to
-#                     be byte-identical to an uninterrupted run
+#                     be byte-identical to an uninterrupted run. Runs inside
+#                     `make check`
 #   make spec-smoke — the optimistic-sync crash gate: SIGKILL a speculative
 #                     multi-rank system run mid-flight, restore from its
 #                     last snapshot, and require the finished summary
@@ -29,7 +31,7 @@
 #   make cache-smoke — the warm-start gate: run a sweep twice sharing a
 #                     -cache-file; the second invocation must serve every
 #                     point from the cache (misses=0) and print an
-#                     identical grid
+#                     identical grid. Runs inside `make check`
 #   make crash-smoke — the crash-point gate: enumerate every host-storage
 #                     operation (write, fsync, rename, dir-fsync) of the
 #                     four persistence surfaces — journaled sweep, cache
@@ -65,8 +67,11 @@ BENCHES = $(GO) test -run='^$$' -bench='^BenchmarkEngineHotLoop$$' -benchmem ./i
 # bench`: the warm-arena sweep stays ~10-60x below the pre-arena numbers
 # (88,572,996 B/op and 1,869,553 allocs/op) however the baseline is
 # regenerated, and the cold cache-miss path cannot quietly bloat either.
+# The conservative PDES window barrier allocates nothing per window; its
+# ceiling is 1 because 0 means "no ceiling" to benchcheck, and a closure or
+# timer per window would cost several allocs/op.
 BENCH_CEILINGS = -max-bytes 'BenchmarkSweepWorkers/workers=1=9000000,BenchmarkSweepWorkers/workers=2=9000000,BenchmarkSweepWorkers/workers=4=9000000,BenchmarkSweepWorkers/workers=8=9000000,BenchmarkSweepCacheMiss=60000000' \
-                 -max-allocs 'BenchmarkSweepWorkers/workers=1=32000,BenchmarkSweepWorkers/workers=2=32000,BenchmarkSweepWorkers/workers=4=32000,BenchmarkSweepWorkers/workers=8=32000,BenchmarkSweepCacheMiss=36000'
+                 -max-allocs 'BenchmarkSweepWorkers/workers=1=32000,BenchmarkSweepWorkers/workers=2=32000,BenchmarkSweepWorkers/workers=4=32000,BenchmarkSweepWorkers/workers=8=32000,BenchmarkSweepCacheMiss=36000,BenchmarkParallelWindow/sync=global=1,BenchmarkParallelWindow/sync=pairwise=1'
 
 .PHONY: build test vet race check bench bench-baseline tables fuzz-short resume-smoke cache-smoke serve-smoke spec-smoke crash-smoke soak soak-short
 
@@ -94,16 +99,19 @@ race:
 
 # Coverage-guided fuzzing of the AMM JSON loaders (arbitrary input must
 # produce a validated config or an error, never a panic or a NaN/Inf/zero
-# value the simulator would choke on later) and of the rank-partitioning
+# value the simulator would choke on later), of the canonical config hash
+# the result cache keys on (stable across a JSON round trip, sensitive to
+# load-bearing fields) and of the rank-partitioning
 # path (the derived lookahead matrix must equal true shortest paths and
 # zero-latency cross-rank links must be rejected by name).
 fuzz-short:
 	$(GO) test ./internal/config -run='^$$' -fuzz=FuzzLoadMachine -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/config -run='^$$' -fuzz=FuzzLoadSystem -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/config -run='^$$' -fuzz=FuzzConfigHash -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/par -run='^$$' -fuzz=FuzzPartitionLookahead -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/par -run='^$$' -fuzz=FuzzSpeculativeReplay -fuzztime=$(FUZZTIME)
 
-check: build vet test race fuzz-short crash-smoke soak-short serve-smoke spec-smoke
+check: build vet test race fuzz-short crash-smoke soak-short serve-smoke spec-smoke resume-smoke cache-smoke
 
 # The crash-point gate: every test named TestCrashPoints* drives the
 # internal/iofault exploration harness over one persistence surface —

@@ -2,6 +2,7 @@ package par
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"sst/internal/sim"
@@ -344,4 +345,19 @@ func itoa(v int) string {
 		v /= 10
 	}
 	return string(buf[i:])
+}
+
+// TestOversubscribedDeterminism runs eight ranks on one processor, so rank
+// goroutines are always waiting on each other's windows, and requires
+// every sync mode to stay bit-identical to the sequential reference.
+func TestOversubscribedDeterminism(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for s := 0; s < 4; s++ {
+		tp := genDetTopo(int64(9000 + s))
+		ref := runDetTopo(t, tp, 1, SyncPairwise, 0)
+		for _, mode := range allSyncModes {
+			got := runDetTopo(t, tp, 8, mode, 0)
+			diffSig(t, "oversubscribed seed "+itoa(9000+s)+" sync "+mode.String(), got, ref)
+		}
+	}
 }

@@ -6,15 +6,17 @@
 // sim.Engine running in its own goroutine. Ranks only interact over links,
 // and every cross-rank link has a declared nonzero latency, so link
 // latencies bound how soon one rank can affect another (the lookahead).
-// The coordinator advances each rank through half-open windows bounded by
-// a conservative horizon; the conservative synchronization modes derive
-// that horizon (see SyncMode): the classic global window equal to the
+// Ranks advance through half-open windows bounded by a conservative
+// horizon and meet at a barrier between windows, where the last rank to
+// arrive runs the serial phase (see barrier.go). The conservative
+// synchronization modes derive that horizon (see SyncMode): the classic
+// global window equal to the
 // single minimum cross-rank latency, and the default topology-aware
 // pairwise mode where each rank's horizon is computed from the other
 // ranks' next-event-time snapshots plus a per-rank-pair lookahead matrix
 // (all-pairs shortest latency paths over the partitioned link graph).
 // Ranks with no work below their horizon are skipped without a dispatch,
-// and when no rank has work the coordinator fast-forwards every rank
+// and when no rank has work the serial phase fast-forwards every rank
 // straight to the globally earliest pending event. The speculative and
 // adaptive modes (see speculative.go) let ranks execute optimistically
 // past the pairwise horizon, checkpointing through the snapshot codec and
@@ -75,29 +77,32 @@ type rank struct {
 	// base is how far this rank has conservatively advanced: every event
 	// below base has been processed, and no future remote event can arrive
 	// below it. horizon is the upper bound of the window being considered
-	// this round. Both are coordinator-owned.
+	// this round. Both are owned by the serial phase.
 	base    sim.Time
 	horizon sim.Time
 	// staging holds remote events addressed to this rank that its window
 	// has not yet reached, in canonical (time, sent, srcRank, seq) heap order.
 	staging remoteHeap
-	// Cumulative run metrics, updated only by the coordinator goroutine
-	// between windows (never by the rank goroutine), so reading them after
-	// Run returns is race-free.
+	// Cumulative run metrics, updated only by the serial phase between
+	// windows (never during one), so reading them after Run returns is
+	// race-free.
 	events      uint64
 	idleWindows uint64
 	skipped     uint64
 	// err captures a panic raised by this rank's event handlers during a
-	// window; the coordinator surfaces it after the barrier.
+	// window; the serial phase surfaces it after the barrier.
 	err error
 
-	// Speculative-mode state (see speculative.go). target is the leg bound
-	// for the current round; spec is the per-Run rollback bookkeeping;
-	// specOn arms the replay-dedupe guard in the cross-rank intercept.
+	// target bounds the window the rank runs next: its horizon in the
+	// conservative modes, its leg target in the speculative ones.
+	target sim.Time
+
+	// Speculative-mode state (see speculative.go). spec is the per-Run
+	// rollback bookkeeping; specOn arms the replay-dedupe guard in the
+	// cross-rank intercept.
 	// rollbacks/replayed/fallbacks/promotions are cumulative counters
 	// surfaced through Metrics and persisted by Snapshot; the specPeak*
 	// fields record high-water marks for the memory-discipline tests.
-	target        sim.Time
 	spec          *specState
 	specOn        bool
 	rollbacks     uint64
@@ -109,8 +114,8 @@ type rank struct {
 	specPeakLog   int
 
 	// Snapshot fields published by the rank goroutine at each barrier
-	// arrival and read by the watchdog for stall diagnostics. Atomics so
-	// the coordinator may read them while other ranks still run.
+	// arrival and read by the watchdog for stall diagnostics and progress.
+	// Atomics so Run's goroutine may read them while ranks still run.
 	pubClock   atomic.Int64
 	pubPending atomic.Int64
 	pubOutbox  atomic.Int64
@@ -130,15 +135,18 @@ func (rk *rank) publish() {
 	rk.pubWindows.Add(1)
 }
 
-// runWindow advances the rank's engine to the horizon, converting handler
-// panics into rank errors so one broken component reports instead of
-// killing the process.
+// runWindow delivers the staged remote events the window covers and
+// advances the rank's engine to the horizon, converting handler panics into
+// rank errors so one broken component reports instead of killing the
+// process.
 func (rk *rank) runWindow(horizon sim.Time) {
+	rk.err = nil
 	defer func() {
 		if r := recover(); r != nil {
 			rk.err = rankPanicError(rk.id, rk.sim.Engine().Now(), r)
 		}
 	}()
+	rk.deliverStaged(horizon)
 	if horizon == sim.TimeInfinity {
 		rk.handled = rk.sim.Engine().Run(horizon)
 	} else {
@@ -146,17 +154,28 @@ func (rk *rank) runWindow(horizon sim.Time) {
 	}
 }
 
-// deliverStaged schedules every staged remote event the rank's current
-// window covers into its engine, in canonical (time, sent, srcRank, seq) order.
-// Deferring delivery to the covering window — rather than scheduling at
-// whichever barrier carried the event across — makes the engine insertion
-// order, and therefore same-timestamp tie-breaking, independent of window
-// boundaries. That is what keeps global and pairwise sync bit-identical.
-func (rk *rank) deliverStaged() {
+// deliverStaged schedules every staged remote event below horizon into the
+// rank's engine, in canonical (time, sent, srcRank, seq) order. Deferring
+// delivery to the covering window — rather than scheduling at whichever
+// barrier carried the event across — makes the engine insertion order, and
+// therefore same-timestamp tie-breaking, independent of window boundaries.
+// That is what keeps global and pairwise sync bit-identical. A speculative
+// leg also records each delivery so a rollback can re-stage it.
+func (rk *rank) deliverStaged(horizon sim.Time) {
 	eng := rk.sim.Engine()
-	for len(rk.staging) > 0 && rk.staging[0].time < rk.horizon {
+	for len(rk.staging) > 0 && rk.staging[0].time < horizon {
 		ev := rk.staging.pop()
-		eng.ScheduleAt(ev.time, sim.PrioLink, func(any) { ev.dst.Deliver(ev.payload) }, nil)
+		if sp := rk.spec; sp != nil {
+			sp.log = append(sp.log, ev)
+			if len(sp.log) > rk.specPeakLog {
+				rk.specPeakLog = len(sp.log)
+			}
+		}
+		h := ev.dst.Handler()
+		if h == nil {
+			panic(fmt.Sprintf("par: port %q has no handler", ev.dst.Name()))
+		}
+		eng.ScheduleAt(ev.time, sim.PrioLink, h, ev.payload)
 	}
 }
 
@@ -257,9 +276,9 @@ func (r *Runner) SetWatchdog(d time.Duration) {
 }
 
 // Interrupt asks a running simulation to stop at the next opportunity:
-// every rank engine is interrupted and the coordinator returns
-// sim.ErrInterrupted after the current window's barrier. Safe to call from
-// any goroutine (signal handlers in the CLIs use it).
+// every rank engine is interrupted and Run returns sim.ErrInterrupted after
+// the current window's barrier. Safe to call from any goroutine (signal
+// handlers in the CLIs use it).
 func (r *Runner) Interrupt() {
 	r.interrupted.Store(true)
 	for _, rk := range r.ranks {
@@ -406,7 +425,6 @@ func (r *Runner) horizonFor(i int, la [][]sim.Time, nw []sim.Time, until sim.Tim
 func (r *Runner) Run(until sim.Time) (uint64, error) {
 	if len(r.ranks) == 1 && r.crossLinks == 0 {
 		rk := r.ranks[0]
-		rk.err = nil
 		rk.runWindow(until) // half-open: finite horizons run to until-1
 		rk.publish()
 		n := rk.handled
@@ -434,143 +452,43 @@ func (r *Runner) Run(until sim.Time) (uint64, error) {
 	if r.mode.Speculative() && r.crossLinks > 0 {
 		return r.runSpeculative(until)
 	}
-	la := r.lookaheadMatrix()
-	// Persistent workers for this Run call: one goroutine per rank,
-	// handed a horizon per window. This keeps per-window cost to a pair
-	// of channel operations instead of goroutine churn. Workers publish a
-	// state snapshot and announce themselves on the barrier channel after
-	// each window; the coordinator counts arrivals (with a watchdog)
-	// instead of blocking on an uninterruptible WaitGroup.
-	work := make([]chan sim.Time, len(r.ranks))
-	barrier := make(chan int, len(r.ranks))
-	for i, rk := range r.ranks {
-		rk.err = nil
-		work[i] = make(chan sim.Time)
-		go func(rk *rank, ch <-chan sim.Time) {
-			for horizon := range ch {
-				rk.runWindow(horizon)
-				rk.publish()
-				barrier <- rk.id
-			}
-		}(rk, work[i])
+	c := &conservative{
+		r:      r,
+		la:     r.lookaheadMatrix(),
+		until:  until,
+		nw:     make([]sim.Time, len(r.ranks)),
+		active: make([]*rank, 0, len(r.ranks)),
 	}
-	closed := false
-	closeWorkers := func() {
-		if !closed {
-			closed = true
-			for _, ch := range work {
-				close(ch)
-			}
-		}
-	}
-	defer closeWorkers()
+	err := r.runWindows(c.step)
+	return c.total, err
+}
 
-	var total uint64
-	active := make([]*rank, 0, len(r.ranks))
-	nw := make([]sim.Time, len(r.ranks))
-	for {
-		// Horizon phase: snapshot every rank's next-event time (all
-		// workers are parked between rounds, so this is a consistent
-		// cut), compute every rank's conservative horizon from the
-		// snapshot, then classify. A rank is dispatched only if it has
-		// work below its horizon (local pending or staged remote);
-		// otherwise its base advances for free (skip-idle).
-		for i, rk := range r.ranks {
-			nw[i] = rk.nextWork()
-		}
-		for i := range r.ranks {
-			r.ranks[i].horizon = r.horizonFor(i, la, nw, until)
-		}
-		active = active[:0]
-		for i, rk := range r.ranks {
-			if rk.base >= until {
-				continue
-			}
-			if nw[i] < rk.horizon {
-				active = append(active, rk)
-				continue
-			}
-			if rk.horizon > rk.base {
-				rk.base = rk.horizon
-				rk.idleWindows++
-				rk.skipped++
-			}
-		}
-		if len(active) == 0 {
-			// Idle fast-forward: no rank has work below its horizon. A
-			// min-reduction over next-event times lets the coordinator
-			// jump every base straight to the earliest pending event —
-			// or finish — instead of crawling there window by window.
-			next := sim.TimeInfinity
-			for _, rk := range r.ranks {
-				if t := rk.nextWork(); t < next {
-					next = t
-				}
-			}
-			if next >= until {
-				for _, rk := range r.ranks {
-					if rk.base < until {
-						rk.base = until
-					}
-				}
-				if until == sim.TimeInfinity {
-					// Globally idle: rest the clock at the furthest rank.
-					for _, rk := range r.ranks {
-						if c := rk.sim.Engine().Now(); c > r.now {
-							r.now = c
-						}
-					}
-				} else if r.now < until {
-					r.now = until
-				}
-				break
-			}
-			for _, rk := range r.ranks {
-				if rk.base < next {
-					rk.base = next
-				}
-			}
-			r.fastForwards++
-			if next > r.now {
-				r.now = next
-			}
-			continue
-		}
-		// Delivery phase: schedule staged remote events now covered by
-		// each active rank's window, in canonical heap order.
-		for _, rk := range active {
-			rk.deliverStaged()
-		}
-		// Parallel phase: each active rank runs its events strictly below
-		// its horizon.
-		for _, rk := range active {
-			rk.err = nil
-			work[rk.id] <- rk.horizon
-		}
-		if err := r.waitWindow(barrier, active); err != nil {
-			return total, err
-		}
+// conservative is the serial phase of a conservative Run (see runWindows).
+type conservative struct {
+	r      *Runner
+	la     [][]sim.Time
+	until  sim.Time
+	nw     []sim.Time
+	active []*rank
+	total  uint64
+}
+
+// step settles the window that just ended, if any, and classifies the next.
+func (c *conservative) step() ([]*rank, error) {
+	r, until := c.r, c.until
+	if len(c.active) > 0 {
 		// A rank whose handlers panicked has reported via rk.err; stop
 		// with every rank's failure rather than continuing a corrupted
 		// simulation.
-		var rankErrs []error
-		for _, rk := range active {
-			if rk.err != nil {
-				rankErrs = append(rankErrs, rk.err)
-			}
-		}
-		if len(rankErrs) > 0 {
-			return total, errors.Join(rankErrs...)
-		}
-		if r.interrupted.Load() {
-			return total, fmt.Errorf("par: run interrupted at window %v: %w", r.now, sim.ErrInterrupted)
+		if err := r.windowErr(c.active); err != nil {
+			return nil, err
 		}
 		// Exchange phase: sharded — only ranks that ran produced mail,
 		// and each nonempty outbox batch goes straight into its
 		// destination's staging heap. Heap pop order is the canonical
 		// (time, sent, srcRank, seq) order regardless of which barrier round a
 		// batch arrived in, so the drain order here need not be sorted.
-		for _, src := range active {
+		for _, src := range c.active {
 			for dst, ob := range src.outboxes {
 				if len(ob) == 0 {
 					continue
@@ -584,8 +502,8 @@ func (r *Runner) Run(until sim.Time) (uint64, error) {
 		}
 		// Advance: only dispatched ranks move here (skipped ranks already
 		// advanced in the horizon phase), then settle the global base.
-		for _, rk := range active {
-			total += rk.handled
+		for _, rk := range c.active {
+			c.total += rk.handled
 			rk.events += rk.handled
 			if rk.handled == 0 {
 				rk.idleWindows++
@@ -605,70 +523,103 @@ func (r *Runner) Run(until sim.Time) (uint64, error) {
 			r.now = min
 		}
 		if r.now >= until {
-			break
+			return nil, nil
 		}
 	}
-	return total, nil
+	for {
+		// Horizon phase: snapshot every rank's next-event time (no
+		// window is in flight, so this is a consistent cut), compute
+		// every rank's conservative horizon from the snapshot, then
+		// classify. A rank is dispatched only if it has work below its
+		// horizon (local pending or staged remote); otherwise its base
+		// advances for free (skip-idle).
+		for i, rk := range r.ranks {
+			c.nw[i] = rk.nextWork()
+		}
+		for i := range r.ranks {
+			r.ranks[i].horizon = r.horizonFor(i, c.la, c.nw, until)
+		}
+		c.active = c.active[:0]
+		for i, rk := range r.ranks {
+			if rk.base >= until {
+				continue
+			}
+			if c.nw[i] < rk.horizon {
+				rk.target = rk.horizon
+				c.active = append(c.active, rk)
+				continue
+			}
+			if rk.horizon > rk.base {
+				rk.base = rk.horizon
+				rk.idleWindows++
+				rk.skipped++
+			}
+		}
+		if len(c.active) > 0 {
+			return c.active, nil
+		}
+		// Idle fast-forward: no rank has work below its horizon. A
+		// min-reduction over next-event times jumps every base straight
+		// to the earliest pending event — or finishes — instead of
+		// crawling there window by window.
+		next := sim.TimeInfinity
+		for _, rk := range r.ranks {
+			if t := rk.nextWork(); t < next {
+				next = t
+			}
+		}
+		if next >= until {
+			for _, rk := range r.ranks {
+				if rk.base < until {
+					rk.base = until
+				}
+			}
+			if until == sim.TimeInfinity {
+				// Globally idle: rest the clock at the furthest rank.
+				for _, rk := range r.ranks {
+					if t := rk.sim.Engine().Now(); t > r.now {
+						r.now = t
+					}
+				}
+			} else if r.now < until {
+				r.now = until
+			}
+			return nil, nil
+		}
+		for _, rk := range r.ranks {
+			if rk.base < next {
+				rk.base = next
+			}
+		}
+		r.fastForwards++
+		if next > r.now {
+			r.now = next
+		}
+	}
 }
 
-// waitWindow collects one barrier arrival per dispatched rank. With a
-// watchdog set, a period with no arrivals counts as zero progress: the
-// rank engines are interrupted (which unsticks even zero-delay event loops
-// — the engine polls its interrupt flag every few events) and, once the
-// surviving ranks check in or a grace period expires, a diagnostic
-// ErrStalled is returned.
-func (r *Runner) waitWindow(barrier <-chan int, active []*rank) error {
-	need := len(active)
-	arrived := make([]bool, len(r.ranks))
-	got := 0
-	if r.watchdog <= 0 {
-		for got < need {
-			arrived[<-barrier] = true
-			got++
-		}
-		return nil
-	}
-	timer := time.NewTimer(r.watchdog)
-	defer timer.Stop()
-	stalled := false
-	for got < need {
-		select {
-		case id := <-barrier:
-			arrived[id] = true
-			got++
-			if !stalled {
-				if !timer.Stop() {
-					<-timer.C
-				}
-				timer.Reset(r.watchdog)
-			}
-		case <-timer.C:
-			if stalled {
-				// Grace period expired: some rank is blocked outside
-				// the event loop (host I/O, a channel) and cannot be
-				// interrupted. Report with what the ranks last
-				// published; the stuck goroutines are abandoned.
-				return r.stallError(active, arrived)
-			}
-			stalled = true
-			for _, rk := range r.ranks {
-				rk.sim.Engine().Interrupt()
-			}
-			timer.Reset(r.watchdog)
+// windowErr reports why the window loop must stop after a window: every
+// handler panic the window's ranks raised, or an interrupt.
+func (r *Runner) windowErr(active []*rank) error {
+	var rankErrs []error
+	for _, rk := range active {
+		if rk.err != nil {
+			rankErrs = append(rankErrs, rk.err)
 		}
 	}
-	if stalled {
-		// Every rank checked in only after being interrupted: the window
-		// made no progress for a full watchdog period — a stall, but one
-		// with fully consistent diagnostics.
-		return r.stallError(active, arrived)
+	if len(rankErrs) > 0 {
+		return errors.Join(rankErrs...)
+	}
+	if r.interrupted.Load() {
+		return fmt.Errorf("par: run interrupted at window %v: %w", r.now, sim.ErrInterrupted)
 	}
 	return nil
 }
 
 // stallError builds the zero-progress diagnostic: the window round that
 // hung and each rank's last-published clock, pending-event count, outbox
-// depth, and this round's base/horizon.
+// depth, and this round's base/horizon. arrived marks the dispatched ranks
+// that finished the window; nil means all of them did.
 func (r *Runner) stallError(active []*rank, arrived []bool) error {
 	dispatched := make([]bool, len(r.ranks))
 	for _, rk := range active {
@@ -689,7 +640,7 @@ func (r *Runner) stallError(active []*rank, arrived []bool) error {
 			rk.pubOutbox.Load(), rk.pubWindows.Load(), rk.base, rk.horizon)
 		if !dispatched[rk.id] {
 			sb.WriteString(" (skipped: no work below horizon)")
-		} else if !arrived[rk.id] {
+		} else if arrived != nil && !arrived[rk.id] {
 			sb.WriteString(" (did not respond to interrupt; state is from its last barrier)")
 		}
 	}
@@ -710,7 +661,7 @@ type RankMetrics struct {
 	// nothing — lookahead-limited stalls where the rank had no work while
 	// other ranks had some, whether it was dispatched or skipped.
 	IdleWindows uint64 `json:"idle_windows"`
-	// SkippedWindows is the subset of IdleWindows where the coordinator
+	// SkippedWindows is the subset of IdleWindows where the runner
 	// never dispatched the rank at all: with nothing below its horizon its
 	// base time advanced for free instead of paying a barrier round trip.
 	SkippedWindows uint64 `json:"skipped_windows"`
@@ -740,11 +691,11 @@ type RunnerMetrics struct {
 	// Mode is the synchronization mode the runner used ("global" or
 	// "pairwise").
 	Mode string `json:"mode"`
-	// Windows is the number of synchronization rounds the coordinator ran
+	// Windows is the number of synchronization rounds the runner ran
 	// (rounds resolved purely by fast-forward are counted separately).
 	Windows uint64 `json:"windows"`
 	// FastForwards counts idle fast-forwards: rounds at which no rank had
-	// work below its horizon and the coordinator jumped every base
+	// work below its horizon and the runner jumped every base
 	// straight to the globally earliest pending event.
 	FastForwards uint64 `json:"fast_forwards"`
 	// Lookahead is the global conservative floor (min cross-rank link
@@ -766,8 +717,8 @@ type RunnerMetrics struct {
 }
 
 // Metrics returns the run's synchronization and balance counters. Call it
-// after Run returns; it reads coordinator-owned state and must not race a
-// running simulation.
+// after Run returns; it reads state the serial phase owns and must not race
+// a running simulation.
 func (r *Runner) Metrics() RunnerMetrics {
 	m := RunnerMetrics{
 		Mode:         r.mode.String(),

@@ -200,3 +200,39 @@ func TestInterruptStopsRun(t *testing.T) {
 		}
 	}
 }
+
+// TestWatchdogAbandonsBlockedHandler: a handler blocked outside the event
+// loop (here on a channel, standing in for host I/O) cannot be
+// interrupted. The watchdog must still end Run with ErrStalled within a
+// few watchdog periods, abandoning the blocked rank's goroutine.
+func TestWatchdogAbandonsBlockedHandler(t *testing.T) {
+	r, err := NewRunner(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b, err := r.Connect("x", sim.Nanosecond, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.SetHandler(func(any) {})
+	b.SetHandler(func(any) {})
+	block := make(chan struct{})
+	defer close(block) // let the abandoned goroutine finish
+	r.Rank(0).Engine().Schedule(0, func(any) { <-block }, nil)
+	r.Rank(1).Engine().Schedule(time0(5), func(any) {}, nil)
+
+	const watchdog = 200 * time.Millisecond
+	r.SetWatchdog(watchdog)
+	start := time.Now()
+	_, err = runWithDeadline(t, 10*time.Second, r)
+	elapsed := time.Since(start)
+	if !errors.Is(err, ErrStalled) {
+		t.Fatalf("err = %v, want ErrStalled", err)
+	}
+	if elapsed > 3*watchdog {
+		t.Errorf("Run returned after %v, want within %v", elapsed, 3*watchdog)
+	}
+	if !strings.Contains(err.Error(), "did not respond to interrupt") {
+		t.Errorf("diagnostic does not name the blocked rank:\n%s", err.Error())
+	}
+}

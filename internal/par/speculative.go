@@ -50,7 +50,6 @@ package par
 // therefore results, stay bit-identical run to run.
 
 import (
-	"errors"
 	"fmt"
 
 	"sst/internal/sim"
@@ -294,24 +293,6 @@ func (r *Runner) specRollback(rk *rank) error {
 	return nil
 }
 
-// specDeliver schedules every staged arrival below the rank's leg target,
-// recording each in the delivered log so a rollback can re-stage it. After
-// the rollback phase every remaining staged event is at or above the
-// frontier, and the engine clock is strictly below it, so ScheduleAt can
-// never be asked to schedule into the past.
-func (rk *rank) specDeliver() {
-	eng := rk.sim.Engine()
-	sp := rk.spec
-	for len(rk.staging) > 0 && rk.staging[0].time < rk.target {
-		ev := rk.staging.pop()
-		sp.log = append(sp.log, ev)
-		if len(sp.log) > rk.specPeakLog {
-			rk.specPeakLog = len(sp.log)
-		}
-		eng.ScheduleAt(ev.time, sim.PrioLink, func(any) { ev.dst.Deliver(ev.payload) }, nil)
-	}
-}
-
 // specTarget picks rank i's leg target for this round: the conservative
 // horizon when the rank is demoted (adaptive governor) or at its
 // checkpoint cap, otherwise up to specLeap inbound lookaheads past its
@@ -361,7 +342,7 @@ func (r *Runner) specTarget(rk *rank, la [][]sim.Time, round uint64, until sim.T
 }
 
 // runSpeculative is the optimistic counterpart of the conservative loop in
-// Run. Round structure:
+// Run, on the same barrier. Round structure:
 //
 //  1. consistent cut: per-rank commit bounds (specNextCommit) and pairwise
 //     horizons derived from them;
@@ -370,9 +351,10 @@ func (r *Runner) specTarget(rk *rank, la [][]sim.Time, round uint64, until sim.T
 //  3. rollback: any rank with a staged arrival below its frontier restores
 //     its target checkpoint and re-stages its delivered log;
 //  4. classify and dispatch: ranks with work below their leg target run a
-//     leg on the worker goroutines (delivering covered staged arrivals
-//     first); idle ranks extend their frontier to the conservative horizon
-//     for free;
+//     leg on their goroutines, delivering covered staged arrivals first
+//     (after phase 3 every staged arrival is at or above the frontier and
+//     the engine clock strictly below it, so none lands in the past); idle
+//     ranks extend their frontier to the conservative horizon for free;
 //  5. checkpoint: each dispatched rank snapshots at its new frontier if a
 //     slot is free.
 //
@@ -381,7 +363,6 @@ func (r *Runner) runSpeculative(until sim.Time) (uint64, error) {
 	if !r.SnapshotsEnabled() {
 		return 0, fmt.Errorf("par: %s sync requires EnableSnapshots before the model is built (rollback needs a checkpointable model)", r.mode)
 	}
-	la := r.lookaheadMatrix()
 	evStart := make([]uint64, len(r.ranks))
 	total := func() uint64 {
 		var n uint64
@@ -391,7 +372,6 @@ func (r *Runner) runSpeculative(until sim.Time) (uint64, error) {
 		return n
 	}
 	for i, rk := range r.ranks {
-		rk.err = nil
 		rk.specOn = true
 		evStart[i] = rk.sim.Engine().Handled()
 		rk.spec = &specState{frontier: rk.base}
@@ -410,44 +390,66 @@ func (r *Runner) runSpeculative(until sim.Time) (uint64, error) {
 			return 0, err
 		}
 	}
-
-	work := make([]chan sim.Time, len(r.ranks))
-	barrier := make(chan int, len(r.ranks))
+	s := &speculative{
+		r:      r,
+		la:     r.lookaheadMatrix(),
+		until:  until,
+		nw:     make([]sim.Time, len(r.ranks)),
+		active: make([]*rank, 0, len(r.ranks)),
+	}
+	if err := r.runWindows(s.step); err != nil {
+		return total(), err
+	}
+	n := total()
 	for i, rk := range r.ranks {
-		work[i] = make(chan sim.Time)
-		go func(rk *rank, ch <-chan sim.Time) {
-			for horizon := range ch {
-				rk.runWindow(horizon)
-				rk.publish()
-				barrier <- rk.id
-			}
-		}(rk, work[i])
+		rk.events += rk.sim.Engine().Handled() - evStart[i]
 	}
-	closed := false
-	closeWorkers := func() {
-		if !closed {
-			closed = true
-			for _, ch := range work {
-				close(ch)
-			}
-		}
-	}
-	defer closeWorkers()
+	return n, nil
+}
 
-	active := make([]*rank, 0, len(r.ranks))
-	nw := make([]sim.Time, len(r.ranks))
-	var round uint64
-	for {
-		round++
-		if r.interrupted.Load() {
-			return total(), fmt.Errorf("par: run interrupted at window %v: %w", r.now, sim.ErrInterrupted)
+// speculative is the serial phase of a speculative Run (see runWindows).
+type speculative struct {
+	r      *Runner
+	la     [][]sim.Time
+	until  sim.Time
+	nw     []sim.Time
+	active []*rank
+	round  uint64
+}
+
+// step finishes the leg that just ended, if any (phase 5), and runs phases
+// 1-4 of the next round.
+func (s *speculative) step() ([]*rank, error) {
+	r, la, until := s.r, s.la, s.until
+	if len(s.active) > 0 {
+		if err := r.windowErr(s.active); err != nil {
+			return nil, err
 		}
-		// Phase 1: consistent cut (all workers parked between rounds).
+		// Phase 5: frontier + checkpoint.
+		for _, rk := range s.active {
+			rk.spec.frontier = rk.target
+			if rk.handled == 0 {
+				rk.idleWindows++
+			}
+			if rk.target != sim.TimeInfinity && len(rk.spec.ckpts) < r.specDepth {
+				if err := r.specCheckpoint(rk, rk.target); err != nil {
+					return nil, err
+				}
+			}
+		}
+		r.windows++
+	}
+	for {
+		s.round++
+		if r.interrupted.Load() {
+			return nil, fmt.Errorf("par: run interrupted at window %v: %w", r.now, sim.ErrInterrupted)
+		}
+		// Phase 1: consistent cut (no leg is in flight).
 		for i, rk := range r.ranks {
-			nw[i] = rk.specNextCommit()
+			s.nw[i] = rk.specNextCommit()
 		}
 		for i := range r.ranks {
-			r.ranks[i].horizon = r.horizonFor(i, la, nw, until)
+			r.ranks[i].horizon = r.horizonFor(i, la, s.nw, until)
 		}
 		// Phase 2: commit.
 		progress := false
@@ -487,7 +489,7 @@ func (r *Runner) runSpeculative(until sim.Time) (uint64, error) {
 			} else if r.now < until {
 				r.now = until
 			}
-			break
+			return nil, nil
 		}
 		// Phase 3: rollbacks. A staged arrival below the frontier means
 		// speculation overshot; below base would mean conservation itself
@@ -495,24 +497,24 @@ func (r *Runner) runSpeculative(until sim.Time) (uint64, error) {
 		for _, rk := range r.ranks {
 			if t := rk.staging.minTime(); t < rk.spec.frontier {
 				if t < rk.base {
-					return total(), fmt.Errorf("par: internal: rank %d arrival at %v below committed base %v", rk.id, t, rk.base)
+					return nil, fmt.Errorf("par: internal: rank %d arrival at %v below committed base %v", rk.id, t, rk.base)
 				}
 				if err := r.specRollback(rk); err != nil {
-					return total(), err
+					return nil, err
 				}
 				progress = true
 			}
 		}
-		// Phase 4: classify and dispatch.
-		active = active[:0]
+		// Phase 4: classify; the barrier dispatches.
+		s.active = s.active[:0]
 		for _, rk := range r.ranks {
 			if rk.base >= until {
 				continue
 			}
-			t := r.specTarget(rk, la, round, until)
+			t := r.specTarget(rk, la, s.round, until)
 			if rk.nextWork() < t {
 				rk.target = t
-				active = append(active, rk)
+				s.active = append(s.active, rk)
 				continue
 			}
 			if rk.horizon > rk.spec.frontier {
@@ -522,52 +524,12 @@ func (r *Runner) runSpeculative(until sim.Time) (uint64, error) {
 				progress = true
 			}
 		}
-		if len(active) == 0 {
-			if !progress {
-				return total(), fmt.Errorf("par: internal: speculative coordinator made no progress at %v", r.now)
-			}
-			r.fastForwards++
-			continue
+		if len(s.active) > 0 {
+			return s.active, nil
 		}
-		for _, rk := range active {
-			rk.specDeliver()
-			rk.err = nil
+		if !progress {
+			return nil, fmt.Errorf("par: internal: speculative round made no progress at %v", r.now)
 		}
-		for _, rk := range active {
-			work[rk.id] <- rk.target
-		}
-		if err := r.waitWindow(barrier, active); err != nil {
-			return total(), err
-		}
-		var rankErrs []error
-		for _, rk := range active {
-			if rk.err != nil {
-				rankErrs = append(rankErrs, rk.err)
-			}
-		}
-		if len(rankErrs) > 0 {
-			return total(), errors.Join(rankErrs...)
-		}
-		if r.interrupted.Load() {
-			return total(), fmt.Errorf("par: run interrupted at window %v: %w", r.now, sim.ErrInterrupted)
-		}
-		// Phase 5: frontier + checkpoint.
-		for _, rk := range active {
-			rk.spec.frontier = rk.target
-			if rk.handled == 0 {
-				rk.idleWindows++
-			}
-			if rk.target != sim.TimeInfinity && len(rk.spec.ckpts) < r.specDepth {
-				if err := r.specCheckpoint(rk, rk.target); err != nil {
-					return total(), err
-				}
-			}
-		}
-		r.windows++
+		r.fastForwards++
 	}
-	n := total()
-	for i, rk := range r.ranks {
-		rk.events += rk.sim.Engine().Handled() - evStart[i]
-	}
-	return n, nil
 }

@@ -26,6 +26,7 @@ package sim
 // path is a nil-map check in Port.SendDelayed.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -286,10 +287,17 @@ func ReadSnapshot(r io.Reader) ([]byte, error) {
 	if n > maxSnapshot {
 		return nil, fmt.Errorf("sim: snapshot body length %d exceeds limit", n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, fmt.Errorf("sim: snapshot body: %w", err)
+	// Grow the body as bytes arrive rather than trusting the header's
+	// length up front: a corrupt or hostile header must not cost a
+	// multi-GiB allocation before the short read is noticed.
+	var buf bytes.Buffer
+	if got, err := io.CopyN(&buf, r, int64(n)); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, fmt.Errorf("sim: snapshot body: %w (%d of %d bytes)", err, got, n)
 	}
+	body := buf.Bytes()
 	var sum [4]byte
 	if _, err := io.ReadFull(r, sum[:]); err != nil {
 		return nil, fmt.Errorf("sim: snapshot checksum: %w", err)

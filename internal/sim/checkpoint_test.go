@@ -2,7 +2,9 @@ package sim_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -117,6 +119,27 @@ func TestSnapshotContainer(t *testing.T) {
 	// Truncated file.
 	if _, err := sim.ReadSnapshot(bytes.NewReader(buf.Bytes()[:10])); err == nil {
 		t.Fatal("truncated container not rejected")
+	}
+}
+
+// TestReadSnapshotBoundedAlloc: a header claiming a huge body in front of
+// a short one fails with an error, and the allocation tracks the bytes
+// actually present, not the claimed length.
+func TestReadSnapshotBoundedAlloc(t *testing.T) {
+	hdr := make([]byte, 8+2+8)
+	copy(hdr, "GOSSTSNP")
+	binary.LittleEndian.PutUint16(hdr[8:], sim.SnapshotVersion)
+	binary.LittleEndian.PutUint64(hdr[10:], 1<<32)
+	file := append(hdr, make([]byte, 16)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := sim.ReadSnapshot(bytes.NewReader(file))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("short body accepted")
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Fatalf("ReadSnapshot allocated %d bytes for a 16-byte body", d)
 	}
 }
 

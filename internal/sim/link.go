@@ -22,15 +22,10 @@ func (p *Port) Link() *Link { return p.link }
 // Peer returns the port at the other end of the link.
 func (p *Port) Peer() *Port { return p.peer }
 
-// Deliver invokes the port's handler directly at the current time. It is
-// used by the parallel runtime when draining cross-rank mailboxes; normal
-// components use Send on the peer instead.
-func (p *Port) Deliver(payload any) {
-	if p.handler == nil {
-		panic(fmt.Sprintf("sim: port %q has no handler", p.name))
-	}
-	p.handler(payload)
-}
+// Handler returns the function invoked when a payload arrives at this port
+// (nil until SetHandler). The parallel runtime schedules it directly when
+// draining cross-rank mailboxes; components use Send on the peer instead.
+func (p *Port) Handler() Handler { return p.handler }
 
 // SetHandler installs the function invoked when a payload arrives at this
 // port. It must be set before the peer sends.
