@@ -44,6 +44,9 @@
 #                     require a SIGTERM drain to exit 0, a kill -9 restart
 #                     to converge on byte-identical results, and a full
 #                     queue to shed submissions with 429 + Retry-After
+#   make perfbench-check — vet and test the repo benchmark (perfbench/, its
+#                     own Go module, so `go build ./...` never compiles it)
+#                     against the current sst API. Runs inside `make check`
 #   make soak       — the memory-discipline gate: serve 250 journaled jobs
 #                     through one resident server and require flat heap and
 #                     goroutine counts plus full arena reuse, with a heap
@@ -73,7 +76,7 @@ BENCHES = $(GO) test -run='^$$' -bench='^BenchmarkEngineHotLoop$$' -benchmem ./i
 BENCH_CEILINGS = -max-bytes 'BenchmarkSweepWorkers/workers=1=9000000,BenchmarkSweepWorkers/workers=2=9000000,BenchmarkSweepWorkers/workers=4=9000000,BenchmarkSweepWorkers/workers=8=9000000,BenchmarkSweepCacheMiss=60000000' \
                  -max-allocs 'BenchmarkSweepWorkers/workers=1=32000,BenchmarkSweepWorkers/workers=2=32000,BenchmarkSweepWorkers/workers=4=32000,BenchmarkSweepWorkers/workers=8=32000,BenchmarkSweepCacheMiss=36000,BenchmarkParallelWindow/sync=global=1,BenchmarkParallelWindow/sync=pairwise=1'
 
-.PHONY: build test vet race check bench bench-baseline tables fuzz-short resume-smoke cache-smoke serve-smoke spec-smoke crash-smoke soak soak-short
+.PHONY: build test vet race check bench bench-baseline tables fuzz-short resume-smoke cache-smoke serve-smoke spec-smoke crash-smoke soak soak-short perfbench-check
 
 build:
 	$(GO) build ./...
@@ -111,7 +114,13 @@ fuzz-short:
 	$(GO) test ./internal/par -run='^$$' -fuzz=FuzzPartitionLookahead -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/par -run='^$$' -fuzz=FuzzSpeculativeReplay -fuzztime=$(FUZZTIME)
 
-check: build vet test race fuzz-short crash-smoke soak-short serve-smoke spec-smoke resume-smoke cache-smoke
+check: build vet test race fuzz-short crash-smoke soak-short serve-smoke spec-smoke resume-smoke cache-smoke perfbench-check
+
+# perfbench is a separate module (it imports sst through a replace
+# directive), so the root build and tests never see it: an API change in
+# cache or core could break the benchmark unnoticed without this target.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # The crash-point gate: every test named TestCrashPoints* drives the
 # internal/iofault exploration harness over one persistence surface —

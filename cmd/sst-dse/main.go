@@ -67,19 +67,12 @@ func main() {
 		scaleFlag  = flag.String("scale", "full", "problem scale: full or small")
 		tableFlag  = flag.String("table", "all", "which table: all, fig10, fig11, fig12")
 		formatFlag = flag.String("format", "table", "output format: table, json or csv")
-		csvFlag    = flag.Bool("csv", false, "deprecated: same as -format csv")
 		jFlag      = flag.Int("j", 0, "concurrent sweep workers (0 = GOMAXPROCS)")
 		metricsOut = flag.String("metrics-out", "", "write per-point sweep metrics JSON to this file")
 		traceOut   = flag.String("trace-out", "", "write a host-timeline Chrome trace of the sweep to this file")
 		journal    = flag.String("journal", "", "journal completed design points to this JSONL file (fsync'd per point)")
 		resume     = flag.Bool("resume", false, "with -journal: restore completed points instead of re-running them")
 		pointTO    = flag.Duration("point-timeout", 0, "per-point wall-clock deadline (0 = none); timed-out points are marked failed")
-
-		cacheFlag   = flag.Bool("cache", false, "memoize design points by config hash (repeated grids re-simulate only what is new)")
-		cacheSize   = flag.Int("cache-size", 4096, "result cache capacity in design points")
-		cachePolicy = flag.String("cache-policy", "lru", "eviction policy: fifo, lru, lfu or tinylfu")
-		cacheShadow = flag.String("cache-shadow", "", "comma-separated policies to run as metadata-only hit-rate sensors")
-		cacheFile   = flag.String("cache-file", "", "persist cached results to this JSONL file and warm-start from it (implies -cache)")
 
 		resFlag     = flag.Bool("resilience", false, "run the checkpoint/MTBF resilience study instead of the DSE sweep")
 		mtbfFlag    = flag.String("mtbf", "1,4,24", "machine MTBF values to study, hours")
@@ -89,12 +82,10 @@ func main() {
 		trialsFlag  = flag.Int("trials", 5, "seeded runs averaged per study cell")
 		seedFlag    = flag.Uint64("fault-seed", 1, "root fault seed (same seed, same tables)")
 	)
+	cacheFlags := cli.NewCacheFlags(flag.CommandLine)
 	flag.Parse()
 
 	format, err := core.ParseFormat(*formatFlag)
-	if err == nil && *csvFlag {
-		format = core.FormatCSV
-	}
 	if err != nil {
 		cli.Exit("sst-dse", cli.Configf("%v", err))
 	}
@@ -112,14 +103,11 @@ func main() {
 		Workers: *jFlag, Context: ctx,
 		Journal: *journal, Resume: *resume, PointTimeout: *pointTO,
 	}
-	sc, cerr := newSweepCache(*cacheFlag, *cacheSize, *cachePolicy, *cacheShadow, *cacheFile)
-	if cerr != nil {
-		cli.Exit("sst-dse", cli.Configf("%v", cerr))
+	sc, err := cacheFlags.Open()
+	if err != nil {
+		cli.Exit("sst-dse", err)
 	}
-	if sc != nil {
-		defer sc.Close()
-		opts.Cache = sc
-	}
+	opts.Cache = sc
 	var col *obs.SweepCollector
 	if *metricsOut != "" || *traceOut != "" {
 		col = &obs.SweepCollector{}
@@ -131,43 +119,11 @@ func main() {
 	} else {
 		err = run(*appsFlag, *techsFlag, *widthsFlag, *scaleFlag, *tableFlag, format, opts)
 	}
-	if sc != nil {
-		printCacheSummary("sst-dse", sc)
-	}
+	cacheFlags.PrintSummary("sst-dse")
 	if werr := writeSweepObs(col, sc, *metricsOut, *traceOut); werr != nil && err == nil {
 		err = werr
 	}
-	cli.Exit("sst-dse", err)
-}
-
-// newSweepCache builds the result cache from the -cache* flags; nil when
-// caching is off. A -cache-file implies -cache.
-func newSweepCache(enabled bool, size int, policy, shadow, file string) (*cache.Cache, error) {
-	if !enabled && file == "" {
-		return nil, nil
-	}
-	pol, err := cache.ParsePolicy(policy)
-	if err != nil {
-		return nil, err
-	}
-	shadows, err := cache.ParsePolicies(shadow)
-	if err != nil {
-		return nil, err
-	}
-	return core.NewSweepCache(size, pol, shadows, file)
-}
-
-// printCacheSummary emits the one-line greppable hit/miss roll-up (plus
-// one line per shadow sensor) to stderr.
-func printCacheSummary(prog string, sc *cache.Cache) {
-	st := sc.Stats()
-	fmt.Fprintf(os.Stderr,
-		"%s: cache policy=%s entries=%d hits=%d misses=%d hit_rate=%.3f evictions=%d rejected=%d bytes=%d warm_starts=%d\n",
-		prog, st.Policy, st.Entries, st.Hits, st.Misses, st.HitRate, st.Evictions, st.Rejected, st.Bytes, st.WarmStarts)
-	for _, sh := range st.Shadows {
-		fmt.Fprintf(os.Stderr, "%s: cache shadow policy=%s hits=%d misses=%d hit_rate=%.3f\n",
-			prog, sh.Policy, sh.Hits, sh.Misses, sh.HitRate)
-	}
+	cli.Exit("sst-dse", cacheFlags.Close(err))
 }
 
 // writeSweepObs flushes the sweep collector to the requested files. With a
@@ -179,39 +135,21 @@ func writeSweepObs(col *obs.SweepCollector, sc *cache.Cache, metricsOut, traceOu
 		return nil
 	}
 	if metricsOut != "" {
-		if err := writeFile(metricsOut, func(w io.Writer) error {
+		if err := cli.WriteFile(metricsOut, func(w io.Writer) error {
 			if err := col.WriteJSON(w); err != nil {
 				return err
 			}
-			if sc == nil {
-				return nil
-			}
-			rcol := obs.NewCollector()
-			rcol.AttachCache(sc)
-			return rcol.Report().WriteJSON(w)
+			return cli.WriteCacheReport(w, sc)
 		}); err != nil {
 			return err
 		}
 	}
 	if traceOut != "" {
-		if err := writeFile(traceOut, col.WriteChromeJSON); err != nil {
+		if err := cli.WriteFile(traceOut, col.WriteChromeJSON); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// writeFile creates path and streams write into it.
-func writeFile(path string, write func(w io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func run(appsFlag, techsFlag, widthsFlag, scaleFlag, tableFlag string, format core.Format, opts core.SweepOptions) error {

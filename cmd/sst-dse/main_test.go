@@ -4,16 +4,29 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"sst/internal/cache"
 	"sst/internal/cli"
 	"sst/internal/core"
 	"sst/internal/obs"
 	"syscall"
 )
+
+// openCache opens the result cache the -cache* flags in args describe,
+// through the same flag group main registers.
+func openCache(args ...string) (*cache.Cache, error) {
+	fs := flag.NewFlagSet("sst-dse", flag.ContinueOnError)
+	g := cli.NewCacheFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	return g.Open()
+}
 
 func TestDSESmallSweep(t *testing.T) {
 	if err := run("stream", "ddr3-1333,gddr5-4000", "1,2", "small", "all", core.FormatTable, core.SweepOptions{}); err != nil {
@@ -138,12 +151,12 @@ func TestDSEJournalResume(t *testing.T) {
 // TestDSECacheFlags pins the flag-to-cache wiring: parsing, the
 // -cache-file-implies--cache rule, and bad policy rejection.
 func TestDSECacheFlags(t *testing.T) {
-	if c, err := newSweepCache(false, 0, "lru", "", ""); err != nil || c != nil {
+	if c, err := openCache(); err != nil || c != nil {
 		t.Fatalf("disabled cache = %v, %v; want nil, nil", c, err)
 	}
-	c, err := newSweepCache(true, 16, "tinylfu", "lru,lfu", "")
+	c, err := openCache("-cache", "-cache-size", "16", "-cache-policy", "tinylfu", "-cache-shadow", "lru,lfu")
 	if err != nil || c == nil {
-		t.Fatalf("newSweepCache: %v", err)
+		t.Fatalf("openCache: %v", err)
 	}
 	st := c.Stats()
 	if st.Policy != "tinylfu" || st.Capacity != 16 || len(st.Shadows) != 2 {
@@ -151,16 +164,16 @@ func TestDSECacheFlags(t *testing.T) {
 	}
 	c.Close()
 	// -cache-file implies -cache.
-	fc, err := newSweepCache(false, 8, "lru", "", filepath.Join(t.TempDir(), "c.jsonl"))
+	fc, err := openCache("-cache-size", "8", "-cache-file", filepath.Join(t.TempDir(), "c.jsonl"))
 	if err != nil || fc == nil {
 		t.Fatalf("cache-file without -cache: %v, %v", fc, err)
 	}
 	fc.Close()
-	if _, err := newSweepCache(true, 8, "arc", "", ""); err == nil {
-		t.Error("bad policy accepted")
+	if _, err := openCache("-cache", "-cache-policy", "arc"); cli.Code(err) != cli.ExitConfig {
+		t.Errorf("bad policy: %v, want a configuration error", err)
 	}
-	if _, err := newSweepCache(true, 8, "lru", "lfu,arc", ""); err == nil {
-		t.Error("bad shadow policy accepted")
+	if _, err := openCache("-cache", "-cache-shadow", "lfu,arc"); cli.Code(err) != cli.ExitConfig {
+		t.Errorf("bad shadow policy: %v, want a configuration error", err)
 	}
 }
 
@@ -168,7 +181,7 @@ func TestDSECacheFlags(t *testing.T) {
 // requires the second pass to be all hits; the cache stats also land in
 // the -metrics-out JSON.
 func TestDSECachedSweep(t *testing.T) {
-	sc, err := newSweepCache(true, 64, "lru", "lfu,tinylfu", "")
+	sc, err := openCache("-cache", "-cache-size", "64", "-cache-shadow", "lfu,tinylfu")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +238,7 @@ func TestDSECachedSweep(t *testing.T) {
 // every point without re-simulating.
 func TestDSECacheFileWarmStart(t *testing.T) {
 	file := filepath.Join(t.TempDir(), "results.jsonl")
-	sc1, err := newSweepCache(false, 64, "lru", "", file)
+	sc1, err := openCache("-cache-size", "64", "-cache-file", file)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +253,7 @@ func TestDSECacheFileWarmStart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sc2, err := newSweepCache(false, 64, "lru", "", file)
+	sc2, err := openCache("-cache-size", "64", "-cache-file", file)
 	if err != nil {
 		t.Fatal(err)
 	}

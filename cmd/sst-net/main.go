@@ -54,7 +54,6 @@ import (
 	"strconv"
 	"strings"
 
-	"sst/internal/cache"
 	"sst/internal/cli"
 	"sst/internal/core"
 	"sst/internal/obs"
@@ -68,7 +67,6 @@ func main() {
 		stepsFlag   = flag.Int("steps", 6, "application timesteps")
 		fracFlag    = flag.String("fractions", "1,0.5,0.25,0.125", "injection bandwidth fractions")
 		formatFlag  = flag.String("format", "table", "output format: table, json or csv")
-		csvFlag     = flag.Bool("csv", false, "deprecated: same as -format csv")
 		jFlag       = flag.Int("j", 0, "concurrent sweep workers (0 = GOMAXPROCS)")
 		metricsOut  = flag.String("metrics-out", "", "write per-point sweep metrics JSON to this file")
 		traceOut    = flag.String("trace-out", "", "write a host-timeline Chrome trace of the degradation sweep to this file")
@@ -78,20 +76,12 @@ func main() {
 		syncFlag    = flag.String("sync", "all", "sync modes for -scaling: all, or comma-separated from "+strings.Join(par.SyncModeNames(), ", "))
 		journal     = flag.String("journal", "", "journal completed study cells to this JSONL file (fsync'd per cell)")
 		resume      = flag.Bool("resume", false, "with -journal: restore completed cells instead of re-running them")
-
-		cacheFlag   = flag.Bool("cache", false, "memoize study cells by config hash (the power study hits on the degradation study's cells)")
-		cacheSize   = flag.Int("cache-size", 4096, "result cache capacity in study cells")
-		cachePolicy = flag.String("cache-policy", "lru", "eviction policy: fifo, lru, lfu or tinylfu")
-		cacheShadow = flag.String("cache-shadow", "", "comma-separated policies to run as metadata-only hit-rate sensors")
-		cacheFile   = flag.String("cache-file", "", "persist cached results to this JSONL file and warm-start from it (implies -cache)")
 	)
+	cacheFlags := cli.NewCacheFlags(flag.CommandLine)
 	flag.Parse()
 	format, err := core.ParseFormat(*formatFlag)
 	if err != nil {
 		cli.Exit("sst-net", cli.Configf("%v", err))
-	}
-	if *csvFlag {
-		format = core.FormatCSV
 	}
 	if *resume && *journal == "" {
 		cli.Exit("sst-net", cli.Configf("-resume needs -journal"))
@@ -102,52 +92,17 @@ func main() {
 	if *scalingFlag {
 		cli.Exit("sst-net", runScaling(*nodesFlag, *ranksFlag, *horizonFlag, *syncFlag, format, ctx))
 	}
-	sc, cerr := newSweepCache(*cacheFlag, *cacheSize, *cachePolicy, *cacheShadow, *cacheFile)
-	if cerr != nil {
-		cli.Exit("sst-net", cli.Configf("%v", cerr))
+	sc, err := cacheFlags.Open()
+	if err != nil {
+		cli.Exit("sst-net", err)
 	}
 	opts := core.SweepOptions{
 		Workers: *jFlag, Context: ctx,
 		Journal: *journal, Resume: *resume, Cache: sc,
 	}
 	err = run(*nodesFlag, *stepsFlag, *fracFlag, format, opts, *metricsOut, *traceOut)
-	if sc != nil {
-		printCacheSummary("sst-net", sc)
-		if cerr := sc.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}
-	cli.Exit("sst-net", err)
-}
-
-// newSweepCache builds the result cache from the -cache* flags; nil when
-// caching is off. A -cache-file implies -cache.
-func newSweepCache(enabled bool, size int, policy, shadow, file string) (*cache.Cache, error) {
-	if !enabled && file == "" {
-		return nil, nil
-	}
-	pol, err := cache.ParsePolicy(policy)
-	if err != nil {
-		return nil, err
-	}
-	shadows, err := cache.ParsePolicies(shadow)
-	if err != nil {
-		return nil, err
-	}
-	return core.NewSweepCache(size, pol, shadows, file)
-}
-
-// printCacheSummary emits the one-line greppable hit/miss roll-up (plus
-// one line per shadow sensor) to stderr.
-func printCacheSummary(prog string, sc *cache.Cache) {
-	st := sc.Stats()
-	fmt.Fprintf(os.Stderr,
-		"%s: cache policy=%s entries=%d hits=%d misses=%d hit_rate=%.3f evictions=%d rejected=%d bytes=%d warm_starts=%d\n",
-		prog, st.Policy, st.Entries, st.Hits, st.Misses, st.HitRate, st.Evictions, st.Rejected, st.Bytes, st.WarmStarts)
-	for _, sh := range st.Shadows {
-		fmt.Fprintf(os.Stderr, "%s: cache shadow policy=%s hits=%d misses=%d hit_rate=%.3f\n",
-			prog, sh.Policy, sh.Hits, sh.Misses, sh.HitRate)
-	}
+	cacheFlags.PrintSummary("sst-net")
+	cli.Exit("sst-net", cacheFlags.Close(err))
 }
 
 // runScaling drives the E6 parallel-scaling study: the heterogeneous
@@ -238,22 +193,17 @@ func run(nodes, steps int, fracFlag string, format core.Format, opts core.SweepO
 		return err
 	}
 	if metricsOut != "" {
-		if err := writeFile(metricsOut, func(w io.Writer) error {
+		if err := cli.WriteFile(metricsOut, func(w io.Writer) error {
 			if err := core.WriteResults(w, core.FormatJSON, dcol, pcol); err != nil {
 				return err
 			}
-			if opts.Cache == nil {
-				return nil
-			}
-			rcol := obs.NewCollector()
-			rcol.AttachCache(opts.Cache)
-			return rcol.Report().WriteJSON(w)
+			return cli.WriteCacheReport(w, opts.Cache)
 		}); err != nil {
 			return err
 		}
 	}
 	if traceOut != "" {
-		if err := writeFile(traceOut, dcol.WriteChromeJSON); err != nil {
+		if err := cli.WriteFile(traceOut, dcol.WriteChromeJSON); err != nil {
 			return err
 		}
 	}
@@ -261,17 +211,4 @@ func run(nodes, steps int, fracFlag string, format core.Format, opts core.SweepO
 		return fmt.Errorf("study incomplete (tables above show completed cells): %w", derr)
 	}
 	return perr
-}
-
-// writeFile creates path and streams write into it.
-func writeFile(path string, write func(w io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"flag"
 	"io"
 	"net/http"
 	"os"
@@ -18,8 +19,13 @@ import (
 )
 
 func TestConfigErrors(t *testing.T) {
-	if _, err := newSweepCache(true, 64, "clockwork", "", ""); err == nil {
-		t.Fatal("bad cache policy accepted")
+	fs := flag.NewFlagSet("sst-serve", flag.ContinueOnError)
+	cacheFlags := cli.NewCacheFlags(fs)
+	if err := fs.Parse([]string{"-cache", "-cache-policy", "clockwork"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cacheFlags.Open(); cli.Code(err) != cli.ExitConfig {
+		t.Fatalf("bad cache policy: %v, want a configuration error", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

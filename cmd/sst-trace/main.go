@@ -27,7 +27,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 
@@ -265,12 +264,12 @@ func replay(args []string) error {
 		if strings.HasSuffix(*traceOut, ".csv") {
 			write = tracer.WriteCSV
 		}
-		if err := writeFile(*traceOut, write); err != nil {
+		if err := cli.WriteFile(*traceOut, write); err != nil {
 			return err
 		}
 	}
 	if *metricsOut != "" {
-		if err := writeFile(*metricsOut, rep.WriteJSON); err != nil {
+		if err := cli.WriteFile(*metricsOut, rep.WriteJSON); err != nil {
 			return err
 		}
 	}
@@ -297,17 +296,4 @@ func replay(args []string) error {
 			c.Retired(), engine.Now(), c.Cycles(), c.IPC())
 	}
 	return nil
-}
-
-// writeFile creates path and streams write into it.
-func writeFile(path string, write func(w io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -81,7 +81,6 @@ func main() {
 		cfgPath    = flag.String("config", "", "machine config JSON")
 		sysPath    = flag.String("system", "", "system config JSON")
 		dumpStats  = flag.Bool("stats", false, "dump every component statistic")
-		asCSV      = flag.Bool("csv", false, "deprecated: same as -format csv")
 		formatFlag = flag.String("format", "table", "output format: table, json or csv")
 		timeline   = flag.String("timeline", "", "write a DRAM-traffic time series CSV to this file")
 		samplePd   = flag.String("sample-period", "10us", "timeline sampling period")
@@ -98,9 +97,6 @@ func main() {
 	format, err := core.ParseFormat(*formatFlag)
 	if err != nil {
 		cli.Exit("sst", cli.Configf("%v", err))
-	}
-	if *asCSV {
-		format = core.FormatCSV
 	}
 	syncMode, err := par.ParseSyncMode(*syncFlag)
 	if err != nil {
@@ -166,29 +162,16 @@ func (ob obsFlags) flush(tracer *obs.Tracer, rep *obs.RunReport) error {
 		if strings.HasSuffix(ob.traceOut, ".csv") {
 			write = tracer.WriteCSV
 		}
-		if err := writeFile(ob.traceOut, write); err != nil {
+		if err := cli.WriteFile(ob.traceOut, write); err != nil {
 			return err
 		}
 	}
 	if ob.metricsOut != "" && rep != nil {
-		if err := writeFile(ob.metricsOut, rep.WriteJSON); err != nil {
+		if err := cli.WriteFile(ob.metricsOut, rep.WriteJSON); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// writeFile creates path and streams write into it.
-func writeFile(path string, write func(w io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // runSystem executes a multi-node communication-profile simulation,
@@ -373,7 +356,7 @@ func runSystemPar(name string, topo noc.Topology, netCfg noc.NetConfig,
 		if strings.HasSuffix(ob.traceOut, ".csv") {
 			write = tr.WriteCSV
 		}
-		if err := writeFile(rankPath(ob.traceOut, i), write); err != nil {
+		if err := cli.WriteFile(rankPath(ob.traceOut, i), write); err != nil {
 			return err
 		}
 	}

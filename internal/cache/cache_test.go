@@ -185,73 +185,6 @@ func TestShadowSensors(t *testing.T) {
 	}
 }
 
-func TestMigrationCold(t *testing.T) {
-	c := mustCache(t, Options{Capacity: 4, Policy: LRU})
-	put(t, c, "a")
-	put(t, c, "b")
-	c.Migrate(LFU, MigrationCold)
-	if c.Len() != 0 {
-		t.Errorf("cold migration kept %d entries", c.Len())
-	}
-	if _, ok := c.Get("a"); ok {
-		t.Error("cold migration kept value a")
-	}
-	if got := c.Stats().Policy; got != "lfu" {
-		t.Errorf("policy after migration = %s", got)
-	}
-}
-
-func TestMigrationWarmKeepsValuesAndOrder(t *testing.T) {
-	c := mustCache(t, Options{Capacity: 3, Policy: LRU})
-	put(t, c, "a")
-	put(t, c, "b")
-	put(t, c, "c")
-	c.Get("a") // order cold→hot: b, c, a
-	c.Migrate(FIFO, MigrationWarm)
-	if c.Len() != 3 {
-		t.Fatalf("warm migration dropped values: len=%d", c.Len())
-	}
-	put(t, c, "d") // FIFO evicts the coldest carried-over key: b
-	if _, ok := c.Get("b"); ok {
-		t.Error("warm migration lost the LRU temperature order")
-	}
-	if _, ok := c.Get("a"); !ok {
-		t.Error("warm migration evicted the hottest key")
-	}
-}
-
-func TestMigrationGradualNoMissSpike(t *testing.T) {
-	c := mustCache(t, Options{Capacity: 8, Policy: LRU})
-	for _, k := range []string{"a", "b", "c", "d"} {
-		put(t, c, k)
-	}
-	c.Migrate(LFU, MigrationGradual)
-	if !c.Migrating() {
-		t.Fatal("gradual migration not in progress")
-	}
-	// Every key is still a hit mid-migration.
-	for _, k := range []string{"a", "b", "c", "d"} {
-		if _, ok := c.Get(k); !ok {
-			t.Errorf("gradual migration missed %s", k)
-		}
-	}
-	if got := c.Stats().Migrating; got != "" && got != "lru" {
-		t.Errorf("Stats.Migrating = %q", got)
-	}
-	// Gets promote + drain; a few stores finish the drain.
-	for i := 0; c.Migrating() && i < 16; i++ {
-		put(t, c, fmt.Sprintf("fill%d", i))
-	}
-	if c.Migrating() {
-		t.Error("gradual migration never completed")
-	}
-	for _, k := range []string{"a", "b", "c", "d"} {
-		if _, ok := c.Get(k); !ok {
-			t.Errorf("key %s lost across gradual migration", k)
-		}
-	}
-}
-
 func TestFileWarmStart(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cache.jsonl")
 	c1, err := New(Options{Capacity: 8, Policy: LRU, Path: path, Codec: jsonCodec})

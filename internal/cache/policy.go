@@ -78,18 +78,12 @@ type evictor interface {
 	has(key string) bool
 	// add inserts a new key at the hot end.
 	add(key string)
-	// addCold inserts a new key at the cold end (used when a gradual
-	// policy migration drains a not-recently-used key across).
-	addCold(key string)
 	// touch records an access to a resident key.
 	touch(key string)
 	remove(key string)
 	// victim peeks the next eviction candidate without removing it.
 	victim() (string, bool)
 	len() int
-	// keys returns every resident key in cold→hot order (used for warm
-	// policy migration, which must preserve relative temperature).
-	keys() []string
 }
 
 // recorder is implemented by policies that learn from every access, hit or
@@ -136,13 +130,6 @@ func (p *listPolicy) add(key string) {
 	p.items[key] = p.order.PushBack(key)
 }
 
-func (p *listPolicy) addCold(key string) {
-	if _, ok := p.items[key]; ok {
-		return
-	}
-	p.items[key] = p.order.PushFront(key)
-}
-
 func (p *listPolicy) touch(key string) {
 	if e, ok := p.items[key]; ok && p.onTouch {
 		p.order.MoveToBack(e)
@@ -165,14 +152,6 @@ func (p *listPolicy) victim() (string, bool) {
 
 func (p *listPolicy) len() int { return len(p.items) }
 
-func (p *listPolicy) keys() []string {
-	out := make([]string, 0, len(p.items))
-	for e := p.order.Front(); e != nil; e = e.Next() {
-		out = append(out, e.Value.(string))
-	}
-	return out
-}
-
 // lfuPolicy orders keys by (frequency, promotion sequence) in a min-heap:
 // the victim is the least frequently used key, ties broken toward the one
 // that reached its count longest ago. Operations are O(log n).
@@ -180,7 +159,6 @@ type lfuPolicy struct {
 	items []*lfuItem
 	index map[string]*lfuItem
 	seq   int64 // increases on add/touch: higher = hotter within a count
-	cold  int64 // decreases on addCold: colder than everything resident
 }
 
 type lfuItem struct {
@@ -233,17 +211,6 @@ func (p *lfuPolicy) add(key string) {
 	heap.Push(p, it)
 }
 
-func (p *lfuPolicy) addCold(key string) {
-	p.init()
-	if _, ok := p.index[key]; ok {
-		return
-	}
-	p.cold--
-	it := &lfuItem{key: key, freq: 1, seq: p.cold}
-	p.index[key] = it
-	heap.Push(p, it)
-}
-
 func (p *lfuPolicy) touch(key string) {
 	p.init()
 	if it, ok := p.index[key]; ok {
@@ -270,18 +237,6 @@ func (p *lfuPolicy) victim() (string, bool) {
 }
 
 func (p *lfuPolicy) len() int { return len(p.items) }
-
-func (p *lfuPolicy) keys() []string {
-	// Cold→hot = ascending (freq, seq); sort a copy so the heap's
-	// internal order is untouched.
-	cp := &lfuPolicy{items: make([]*lfuItem, len(p.items))}
-	copy(cp.items, p.items)
-	out := make([]string, 0, len(cp.items))
-	for cp.Len() > 0 {
-		out = append(out, heap.Pop(cp).(*lfuItem).key)
-	}
-	return out
-}
 
 // tinyLFUPolicy is LRU residency plus a frequency sketch and an admission
 // filter. record feeds the sketch on every access (hit or miss); admit

@@ -1,5 +1,6 @@
 // Package cli holds the conventions shared by the sst commands: the exit
-// code contract and signal handling. Every command distinguishes a clean
+// code contract, signal handling, the sweep commands' -cache* flag group
+// and the -metrics-out/-trace-out file writer. Every command distinguishes a clean
 // run, a generic failure, a configuration mistake, a sweep that completed
 // with failed points, and an interrupted run, so scripts driving the
 // tools (the resume workflow in particular) can branch on what happened.

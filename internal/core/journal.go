@@ -12,14 +12,10 @@ package core
 // the same grid an uninterrupted one produces.
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 	"sync"
 
 	"sst/internal/iofault"
@@ -43,20 +39,12 @@ type journalEntry struct {
 	Result  json.RawMessage `json:"result,omitempty"`
 }
 
-// journalFile is the slice of *os.File the journal writes through; tests
-// substitute a failing implementation to prove write and fsync errors
-// surface as sweep failures.
-type journalFile interface {
-	io.Writer
-	Sync() error
-	Close() error
-}
-
 // Journal is an append-only, crash-tolerant record of completed sweep
-// points. Record is safe for concurrent use by the sweep worker pool.
+// points, persisted through iofault's record log. Record is safe for
+// concurrent use by the sweep worker pool.
 type Journal struct {
 	mu   sync.Mutex
-	f    journalFile
+	log  *iofault.Log
 	done map[string]journalEntry
 }
 
@@ -73,66 +61,22 @@ func OpenJournal(path string, resume bool) (*Journal, error) {
 // mid-append — is cut off; when false the file is started fresh.
 func OpenJournalFS(fsys iofault.FS, path string, resume bool) (*Journal, error) {
 	j := &Journal{done: make(map[string]journalEntry)}
-	// The journal's crash promise ("loses at most the line being written")
-	// needs the file's directory entry durable, not just its bytes: fsync
-	// the parent directory once at open, after the file exists.
-	syncParent := func() error {
-		if err := fsys.SyncDir(filepath.Dir(path)); err != nil {
-			return fmt.Errorf("core: journal: parent dir fsync: %w: %w", ErrJournal, err)
-		}
-		return nil
-	}
-	if !resume {
-		f, err := fsys.Create(path)
-		if err != nil {
-			return nil, fmt.Errorf("core: journal: %w: %w", ErrJournal, err)
-		}
-		if err := syncParent(); err != nil {
-			f.Close()
-			return nil, err
-		}
-		j.f = f
-		return j, nil
-	}
-	raw, err := fsys.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, fmt.Errorf("core: journal: %w: %w", ErrJournal, err)
-	}
-	// Scan complete lines, remembering the byte offset just past the last
-	// record that parses; everything after it is a torn tail to discard.
-	valid := 0
-	for off := 0; off < len(raw); {
-		nl := bytes.IndexByte(raw[off:], '\n')
-		if nl < 0 {
-			break // no terminator: torn final line
-		}
-		line := raw[off : off+nl]
-		off += nl + 1
-		if len(bytes.TrimSpace(line)) == 0 {
-			valid = off
-			continue
-		}
-		var ent journalEntry
-		if json.Unmarshal(line, &ent) != nil || ent.Key == "" {
-			break // torn or corrupt: drop it and everything after
-		}
-		j.done[ent.Key] = ent
-		valid = off
-	}
-	if valid < len(raw) {
-		if err := fsys.Truncate(path, int64(valid)); err != nil {
-			return nil, fmt.Errorf("core: journal: truncating torn tail: %w: %w", ErrJournal, err)
+	var replay func(line []byte) bool
+	if resume {
+		replay = func(line []byte) bool {
+			var ent journalEntry
+			if json.Unmarshal(line, &ent) != nil || ent.Key == "" {
+				return false
+			}
+			j.done[ent.Key] = ent
+			return true
 		}
 	}
-	f, err := fsys.OpenAppend(path)
+	log, err := iofault.OpenLog(fsys, path, replay)
 	if err != nil {
 		return nil, fmt.Errorf("core: journal: %w: %w", ErrJournal, err)
 	}
-	if err := syncParent(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	j.f = f
+	j.log = log
 	return j, nil
 }
 
@@ -166,18 +110,14 @@ func (j *Journal) Record(key string, result json.RawMessage, retries []RetryReco
 	} else {
 		ent.Result = result
 	}
-	line, err := json.Marshal(ent)
+	rec, err := json.Marshal(ent)
 	if err != nil {
 		return fmt.Errorf("core: journal: %w: %w", ErrJournal, err)
 	}
-	line = append(line, '\n')
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if _, err := j.f.Write(line); err != nil {
+	if err := j.log.Append(rec); err != nil {
 		return fmt.Errorf("core: journal: %w: %w", ErrJournal, err)
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("core: journal: fsync: %w: %w", ErrJournal, err)
 	}
 	j.done[key] = ent
 	return nil
@@ -187,11 +127,11 @@ func (j *Journal) Record(key string, result json.RawMessage, retries []RetryReco
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
+	if j.log == nil {
 		return nil
 	}
-	err := j.f.Close()
-	j.f = nil
+	err := j.log.Close()
+	j.log = nil
 	return err
 }
 
@@ -205,10 +145,6 @@ type pointIO struct {
 	load func(i int, raw json.RawMessage) error
 }
 
-// journalOpen is OpenJournalFS behind a test seam: journal fault-injection
-// tests substitute an opener whose file fails writes or fsyncs.
-var journalOpen = OpenJournalFS
-
 // runPointsJournaled is runPointsDetailed plus the crash-safety layer:
 // with opts.Journal set, every finished point is durably recorded —
 // retries included — and with opts.Resume the journal's successful points
@@ -221,7 +157,7 @@ func runPointsJournaled(opts SweepOptions, n int, pio pointIO, fn func(ctx conte
 	if opts.Journal == "" {
 		return runPointsDetailed(opts, n, fn)
 	}
-	j, err := journalOpen(opts.fs(), opts.Journal, opts.Resume)
+	j, err := OpenJournalFS(opts.fs(), opts.Journal, opts.Resume)
 	if err != nil {
 		return make([]error, n), err
 	}

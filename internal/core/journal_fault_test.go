@@ -3,53 +3,31 @@ package core
 // Fault injection for the journal's durability promise: a write or fsync
 // failure is a first-class sweep failure (wrapping ErrJournal), never a
 // silently skipped record — a sweep whose crash-safety layer is broken
-// must fail loudly.
+// must fail loudly. Faults are scheduled on the same iofault.MemFS seam
+// the crash-point harness uses.
 
 import (
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"runtime"
 	"testing"
 
 	"sst/internal/iofault"
 	"sst/internal/leakcheck"
 )
 
-// faultFile is a journalFile whose write or fsync fails on command.
-type faultFile struct {
-	failWrite bool
-	failSync  bool
-}
-
-func (f *faultFile) Write(p []byte) (int, error) {
-	if f.failWrite {
-		return 0, errors.New("disk full")
+// faultyJournal returns sweep options whose journal lives on a MemFS
+// that fails every operation in ops with err. A fresh journal's open is
+// operations 1 (create) and 2 (parent-directory fsync); each record is
+// then one write and one fsync, so operation 3 is the first record's
+// write and operation 4 its fsync.
+func faultyJournal(err error, ops ...int) SweepOptions {
+	m := iofault.NewMemFS(1)
+	for _, op := range ops {
+		m.FailOp(op, err)
 	}
-	return len(p), nil
-}
-
-func (f *faultFile) Sync() error {
-	if f.failSync {
-		return errors.New("device ejected")
-	}
-	return nil
-}
-
-func (f *faultFile) Close() error { return nil }
-
-// withFaultyJournal swaps the journalOpen seam for one whose file is ff,
-// restoring it at cleanup.
-func withFaultyJournal(t *testing.T, ff *faultFile) {
-	t.Helper()
-	orig := journalOpen
-	journalOpen = func(iofault.FS, string, bool) (*Journal, error) {
-		return &Journal{f: ff, done: make(map[string]journalEntry)}, nil
-	}
-	t.Cleanup(func() { journalOpen = orig })
+	return SweepOptions{Workers: 1, Journal: "sweep.jsonl", FS: m}
 }
 
 func testPointIO() pointIO {
@@ -62,8 +40,7 @@ func testPointIO() pointIO {
 
 func TestJournalWriteFailureFailsSweep(t *testing.T) {
 	leakcheck.Check(t)
-	withFaultyJournal(t, &faultFile{failWrite: true})
-	opts := SweepOptions{Workers: 1, Journal: "ignored.jsonl"}
+	opts := faultyJournal(iofault.ErrNoSpace, 3, 4) // both records' writes
 	errs, err := runPointsJournaled(opts, 2, testPointIO(), func(context.Context, int) error {
 		return nil // the simulation is fine; only the journal is broken
 	})
@@ -74,21 +51,23 @@ func TestJournalWriteFailureFailsSweep(t *testing.T) {
 		t.Fatalf("sweep error does not wrap ErrJournal: %v", err)
 	}
 	for i, e := range errs {
-		if !errors.Is(e, ErrJournal) {
-			t.Errorf("point %d error does not wrap ErrJournal: %v", i, e)
+		if !errors.Is(e, ErrJournal) || !errors.Is(e, iofault.ErrNoSpace) {
+			t.Errorf("point %d error does not wrap ErrJournal and the injected ENOSPC: %v", i, e)
 		}
 	}
 }
 
 func TestJournalFsyncFailureFailsSweep(t *testing.T) {
 	leakcheck.Check(t)
-	withFaultyJournal(t, &faultFile{failSync: true})
-	opts := SweepOptions{Workers: 1, Journal: "ignored.jsonl"}
+	opts := faultyJournal(iofault.ErrSyncFailed, 4) // the record's fsync
 	_, err := runPointsJournaled(opts, 1, testPointIO(), func(context.Context, int) error {
 		return nil
 	})
 	if !errors.Is(err, ErrJournal) {
 		t.Fatalf("fsync failure does not wrap ErrJournal: %v", err)
+	}
+	if !errors.Is(err, iofault.ErrSyncFailed) {
+		t.Fatalf("sweep error lost the injected fsync failure: %v", err)
 	}
 }
 
@@ -96,9 +75,8 @@ func TestJournalFsyncFailureFailsSweep(t *testing.T) {
 // failure record could not be written, neither error may be lost.
 func TestJournalFailureJoinsPointFailure(t *testing.T) {
 	leakcheck.Check(t)
-	withFaultyJournal(t, &faultFile{failWrite: true})
+	opts := faultyJournal(iofault.ErrNoSpace, 3)
 	boom := errors.New("model diverged")
-	opts := SweepOptions{Workers: 1, Journal: "ignored.jsonl"}
 	errs, err := runPointsJournaled(opts, 1, testPointIO(), func(context.Context, int) error {
 		return boom
 	})
@@ -111,15 +89,8 @@ func TestJournalFailureJoinsPointFailure(t *testing.T) {
 }
 
 func TestOpenJournalUnwritablePath(t *testing.T) {
-	if runtime.GOOS == "windows" || os.Getuid() == 0 {
-		t.Skip("permission bits not enforced for this user")
-	}
-	dir := t.TempDir()
-	if err := os.Chmod(dir, 0o555); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { os.Chmod(dir, 0o755) })
-	_, err := OpenJournal(filepath.Join(dir, "j.jsonl"), false)
+	// The journal's directory does not exist, so creating the file fails.
+	_, err := OpenJournalFS(iofault.NewMemFS(1), "missing/j.jsonl", false)
 	if !errors.Is(err, ErrJournal) {
 		t.Fatalf("unwritable journal path error does not wrap ErrJournal: %v", err)
 	}
@@ -130,8 +101,7 @@ func TestOpenJournalUnwritablePath(t *testing.T) {
 // point-failure sentinel path callers map to exit 3 via errs — the cli
 // layer then maps ErrJournal to exit 1 ahead of ErrPointFailed.
 func TestJournalFailureDistinctFromPointFailure(t *testing.T) {
-	withFaultyJournal(t, &faultFile{failWrite: true})
-	opts := SweepOptions{Workers: 1, Journal: "ignored.jsonl"}
+	opts := faultyJournal(iofault.ErrNoSpace, 3)
 	_, err := runPointsJournaled(opts, 1, testPointIO(), func(context.Context, int) error {
 		return nil
 	})
