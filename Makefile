@@ -29,9 +29,10 @@
 #                     (including rollback counters) to be byte-identical to
 #                     an uninterrupted run. Runs inside `make check`
 #   make cache-smoke — the warm-start gate: run a sweep twice sharing a
-#                     -cache-file; the second invocation must serve every
-#                     point from the cache (misses=0) and print an
-#                     identical grid. Runs inside `make check`
+#                     -cache-file; the second invocation must warm-start
+#                     and serve every point from the cache (misses=0,
+#                     warm_starts=16) and print an identical grid, and
+#                     -cache-size 0 must exit 2. Runs inside `make check`
 #   make crash-smoke — the crash-point gate: enumerate every host-storage
 #                     operation (write, fsync, rename, dir-fsync) of the
 #                     four persistence surfaces — journaled sweep, cache
@@ -156,8 +157,10 @@ resume-smoke:
 # End-to-end warm-start check of the persistent result cache: run the grid
 # once with a -cache-file (all misses), then again from a fresh process
 # sharing the file. The second run must re-simulate nothing — its stderr
-# summary shows misses=0 and one hit per design point — and its grid CSV
-# must be byte-identical to the first run's.
+# summary shows misses=0, one hit per design point and one warm start per
+# stored point — and its grid CSV must be byte-identical to the first
+# run's. A -cache-size of 0 must be refused as a configuration error
+# (exit 2).
 cache-smoke:
 	$(GO) build -o bin/sst-dse ./cmd/sst-dse
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' 0 && \
@@ -169,7 +172,11 @@ cache-smoke:
 	    >"$$tmp/warm.csv" 2>"$$tmp/warm.err" && \
 	grep -q 'cache policy=.* hits=16 misses=0 ' "$$tmp/warm.err" || \
 	    { echo "cache-smoke: warm run re-simulated:"; cat "$$tmp/warm.err"; exit 1; } && \
+	grep -q 'cache policy=.* warm_starts=16$$' "$$tmp/warm.err" || \
+	    { echo "cache-smoke: warm run did not warm-start 16 points:"; cat "$$tmp/warm.err"; exit 1; } && \
 	cmp "$$tmp/cold.csv" "$$tmp/warm.csv" && \
+	{ ./bin/sst-dse -cache -cache-size 0 $(RESUME_ARGS) >/dev/null 2>"$$tmp/size.err"; \
+	  test $$? -eq 2 || { echo "cache-smoke: -cache-size 0 did not exit 2:"; cat "$$tmp/size.err"; exit 1; }; } && \
 	echo "cache-smoke: warm-started grid identical, zero re-simulation"
 
 # End-to-end crash check of the optimistic (Time Warp) sync path: run a

@@ -10,8 +10,7 @@
 //	        [-widths 1,2,4,8] [-scale full|small] [-table all|fig10|fig11|fig12]
 //	        [-format table|json|csv] [-j N] [-metrics-out m.json] [-trace-out t.json]
 //	        [-journal sweep.jsonl] [-resume] [-point-timeout 5m]
-//	        [-cache] [-cache-size 4096] [-cache-policy lru|lfu|fifo|tinylfu]
-//	        [-cache-shadow lfu,tinylfu] [-cache-file results.jsonl]
+//	        [-cache] [-cache-size 4096] [-cache-file results.jsonl]
 //	sst-dse -resilience [-mtbf 1,4,24] [-ckpt-cost 60] [-restart-cost 120]
 //	        [-work 24] [-trials 5] [-fault-seed 1] [-format json] [-j N]
 //
@@ -32,12 +31,11 @@
 // -cache memoizes design points content-addressed by their fully-resolved
 // configuration, so repeated or overlapping grids re-simulate only what is
 // new; a hit is field-for-field identical to a fresh simulation.
-// -cache-policy picks the eviction policy, -cache-size the capacity in
-// points, -cache-shadow runs extra policies as metadata-only hit-rate
-// sensors, and -cache-file persists results to an fsync'd JSONL file so a
-// later invocation warm-starts from them (-cache-file implies -cache). A
-// one-line hit/miss summary prints to stderr; -metrics-out includes the
-// full cache and shadow counters.
+// -cache-size sets the capacity in points (the least recently used point
+// is evicted first), and -cache-file persists results to an fsync'd JSONL
+// file so a later invocation warm-starts from them (-cache-file implies
+// -cache). A one-line hit/miss summary prints to stderr; -metrics-out
+// includes the full cache counters.
 //
 // Exit codes: 0 success, 1 failure, 2 configuration error, 3 sweep
 // completed with failed points, 130 interrupted (Ctrl-C).
@@ -127,9 +125,8 @@ func main() {
 }
 
 // writeSweepObs flushes the sweep collector to the requested files. With a
-// cache attached, the metrics JSON carries the cache's RunReport snapshot
-// (hits/misses/evictions/bytes and per-shadow-policy stats) after the
-// per-point metrics.
+// cache attached, the metrics JSON carries the cache's counters
+// (hits/misses/evictions/bytes) after the per-point metrics.
 func writeSweepObs(col *obs.SweepCollector, sc *cache.Cache, metricsOut, traceOut string) error {
 	if col == nil {
 		return nil

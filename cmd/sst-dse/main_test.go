@@ -149,17 +149,17 @@ func TestDSEJournalResume(t *testing.T) {
 }
 
 // TestDSECacheFlags pins the flag-to-cache wiring: parsing, the
-// -cache-file-implies--cache rule, and bad policy rejection.
+// -cache-file-implies--cache rule, and bad -cache-size rejection.
 func TestDSECacheFlags(t *testing.T) {
 	if c, err := openCache(); err != nil || c != nil {
 		t.Fatalf("disabled cache = %v, %v; want nil, nil", c, err)
 	}
-	c, err := openCache("-cache", "-cache-size", "16", "-cache-policy", "tinylfu", "-cache-shadow", "lru,lfu")
+	c, err := openCache("-cache", "-cache-size", "16")
 	if err != nil || c == nil {
 		t.Fatalf("openCache: %v", err)
 	}
 	st := c.Stats()
-	if st.Policy != "tinylfu" || st.Capacity != 16 || len(st.Shadows) != 2 {
+	if st.Policy != "lru" || st.Capacity != 16 {
 		t.Fatalf("cache built wrong: %+v", st)
 	}
 	c.Close()
@@ -169,11 +169,14 @@ func TestDSECacheFlags(t *testing.T) {
 		t.Fatalf("cache-file without -cache: %v, %v", fc, err)
 	}
 	fc.Close()
-	if _, err := openCache("-cache", "-cache-policy", "arc"); cli.Code(err) != cli.ExitConfig {
-		t.Errorf("bad policy: %v, want a configuration error", err)
-	}
-	if _, err := openCache("-cache", "-cache-shadow", "lfu,arc"); cli.Code(err) != cli.ExitConfig {
-		t.Errorf("bad shadow policy: %v, want a configuration error", err)
+	for _, args := range [][]string{
+		{"-cache", "-cache-size", "0"},
+		{"-cache", "-cache-size", "-3"},
+		{"-cache-size", "-3", "-cache-file", filepath.Join(t.TempDir(), "neg.jsonl")},
+	} {
+		if _, err := openCache(args...); cli.Code(err) != cli.ExitConfig {
+			t.Errorf("%v: %v, want a configuration error", args, err)
+		}
 	}
 }
 
@@ -181,7 +184,7 @@ func TestDSECacheFlags(t *testing.T) {
 // requires the second pass to be all hits; the cache stats also land in
 // the -metrics-out JSON.
 func TestDSECachedSweep(t *testing.T) {
-	sc, err := openCache("-cache", "-cache-size", "64", "-cache-shadow", "lfu,tinylfu")
+	sc, err := openCache("-cache", "-cache-size", "64")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,20 +219,24 @@ func TestDSECachedSweep(t *testing.T) {
 	if err := dec.Decode(&points); err != nil {
 		t.Fatalf("metrics JSON: %v", err)
 	}
-	var rep struct {
-		Cache *struct {
-			Policy  string `json:"policy"`
-			Hits    int64  `json:"hits"`
-			Shadows []struct {
-				Policy string `json:"policy"`
-			} `json:"shadows"`
-		} `json:"cache"`
-	}
+	var rep map[string]json.RawMessage
 	if err := dec.Decode(&rep); err != nil {
 		t.Fatalf("metrics JSON cache report: %v", err)
 	}
-	if rep.Cache == nil || rep.Cache.Policy != "lru" || rep.Cache.Hits != 2 || len(rep.Cache.Shadows) != 2 {
-		t.Fatalf("cache report in metrics JSON = %+v", rep.Cache)
+	if len(rep) != 1 || rep["cache"] == nil {
+		t.Fatalf("cache report keys = %v, want only cache", rep)
+	}
+	var cs struct {
+		Policy   string `json:"policy"`
+		Capacity int    `json:"capacity"`
+		Hits     int64  `json:"hits"`
+		Misses   int64  `json:"misses"`
+	}
+	if err := json.Unmarshal(rep["cache"], &cs); err != nil {
+		t.Fatal(err)
+	}
+	if cs.Policy != "lru" || cs.Capacity != 64 || cs.Hits != 2 || cs.Misses != 2 {
+		t.Fatalf("cache report in metrics JSON = %+v", cs)
 	}
 }
 

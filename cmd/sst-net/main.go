@@ -7,8 +7,7 @@
 //	sst-net [-nodes 32] [-steps 6] [-fractions 1,0.5,0.25,0.125]
 //	        [-format table|json|csv] [-j N] [-metrics-out m.json] [-trace-out t.json]
 //	        [-journal net.jsonl] [-resume]
-//	        [-cache] [-cache-size 4096] [-cache-policy lru|lfu|fifo|tinylfu]
-//	        [-cache-shadow lfu,tinylfu] [-cache-file results.jsonl]
+//	        [-cache] [-cache-size 4096] [-cache-file results.jsonl]
 //	sst-net -scaling [-nodes 16] [-ranks 1,2,4,8] [-horizon 2ms]
 //	        [-sync all|global,pairwise,speculative,adaptive] [-format ...]
 //
@@ -26,11 +25,11 @@
 // -cache memoizes study cells content-addressed by their configuration;
 // the degradation and power studies share one cache (and run the same
 // grid), so the power study's cells hit instead of simulating twice.
-// -cache-file persists results to an fsync'd JSONL file so a later
-// invocation warm-starts from them (implies -cache); -cache-shadow runs
-// extra eviction policies as metadata-only hit-rate sensors. A one-line
-// hit/miss summary prints to stderr; -metrics-out includes the full cache
-// and shadow counters.
+// -cache-size sets the capacity in cells (the least recently used cell is
+// evicted first); -cache-file persists results to an fsync'd JSONL file
+// so a later invocation warm-starts from them (implies -cache). A
+// one-line hit/miss summary prints to stderr; -metrics-out includes the
+// full cache counters.
 //
 // Exit codes: 0 success, 1 failure, 2 configuration error, 3 study
 // completed with failed cells, 130 interrupted (Ctrl-C).

@@ -9,8 +9,7 @@
 //	          [-point-timeout 0] [-retries 1] [-retry-base 100ms]
 //	          [-retry-max 5s] [-retry-jitter 0.5] [-retry-seed 1]
 //	          [-retry-timeouts] [-drain 30s]
-//	          [-cache] [-cache-size 4096] [-cache-policy lru|lfu|fifo|tinylfu]
-//	          [-cache-shadow lfu,tinylfu] [-cache-file results.jsonl]
+//	          [-cache] [-cache-size 4096] [-cache-file results.jsonl]
 //
 // API (see DESIGN.md §10 and the README quick-start):
 //

@@ -21,11 +21,11 @@ import (
 func TestConfigErrors(t *testing.T) {
 	fs := flag.NewFlagSet("sst-serve", flag.ContinueOnError)
 	cacheFlags := cli.NewCacheFlags(fs)
-	if err := fs.Parse([]string{"-cache", "-cache-policy", "clockwork"}); err != nil {
+	if err := fs.Parse([]string{"-cache", "-cache-size", "0"}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := cacheFlags.Open(); cli.Code(err) != cli.ExitConfig {
-		t.Fatalf("bad cache policy: %v, want a configuration error", err)
+		t.Fatalf("zero cache size: %v, want a configuration error", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

@@ -5,12 +5,9 @@
 // equivalent to re-simulating the point, and invalidation reduces to "the
 // key changed".
 //
-// The cache separates the value store from eviction metadata: pluggable
-// policies (FIFO, LRU, LFU, TinyLFU with doorkeeper admission) order keys
-// and nominate victims without ever touching values. That split buys
-// shadow sensors: extra policies run metadata-only against the live
-// access stream and report the hit rate they *would* achieve, so an
-// operator can compare policies on real traffic before switching.
+// Eviction is least-recently-used over one recency list. Replays of real
+// sweep-service traffic (EXPERIMENTS.md E16) showed capacity, not policy,
+// decides the hit rate, so LRU is the only policy.
 //
 // An optional persistent tier appends every stored entry to an fsync'd
 // JSONL file through iofault's record log (the one the sweep journal
@@ -26,6 +23,7 @@
 package cache
 
 import (
+	"container/list"
 	"encoding/json"
 	"fmt"
 	"sync"
@@ -42,12 +40,8 @@ type Codec struct {
 
 // Options configures a Cache.
 type Options struct {
-	// Capacity bounds resident entries; <= 0 means 1024.
+	// Capacity bounds resident entries; it must be at least 1.
 	Capacity int
-	// Policy selects the active eviction policy (default LRU).
-	Policy PolicyType
-	// Shadows lists policies to run as metadata-only hit/miss sensors.
-	Shadows []PolicyType
 	// Path, when non-empty, names the persistent JSONL tier: existing
 	// entries are loaded at New (tolerating a torn final line) and every
 	// Put is appended and fsync'd. Requires Codec.
@@ -61,21 +55,23 @@ type Options struct {
 	FS iofault.FS
 }
 
-// Stats is a point-in-time snapshot of cache behavior, including the
-// shadow sensors' counters. It marshals to the JSON reported through
-// internal/obs RunReports.
+// Stats is a point-in-time snapshot of cache behavior. It marshals to the
+// JSON a sweep's -metrics-out and the service report carry.
 type Stats struct {
-	Policy     string        `json:"policy"`
-	Capacity   int           `json:"capacity"`
-	Entries    int           `json:"entries"`
-	Bytes      int64         `json:"bytes"`
-	Hits       int64         `json:"hits"`
-	Misses     int64         `json:"misses"`
-	Evictions  int64         `json:"evictions"`
-	Rejected   int64         `json:"rejected"`
-	WarmStarts int64         `json:"warm_starts"`
-	HitRate    float64       `json:"hit_rate"`
-	Shadows    []ShadowStats `json:"shadows,omitempty"`
+	// Policy is always "lru"; it stays in the report schema for readers.
+	Policy   string `json:"policy"`
+	Capacity int    `json:"capacity"`
+	Entries  int    `json:"entries"`
+	Bytes    int64  `json:"bytes"`
+	Hits     int64  `json:"hits"`
+	Misses   int64  `json:"misses"`
+	// Evictions counts entries dropped for capacity by this process's
+	// Puts; a warm start replaying an oversized file adds nothing here.
+	Evictions int64 `json:"evictions"`
+	// WarmStarts is the number of entries the file tier left resident
+	// when the cache opened.
+	WarmStarts int64   `json:"warm_starts"`
+	HitRate    float64 `json:"hit_rate"`
 
 	// AppendFailures counts persistent-tier appends that failed (short
 	// write, ENOSPC, fsync error); Degraded reports that the file tier has
@@ -84,71 +80,21 @@ type Stats struct {
 	Degraded       bool  `json:"degraded,omitempty"`
 }
 
-// ShadowStats is one shadow sensor's would-be hit/miss tally.
-type ShadowStats struct {
-	Policy  string  `json:"policy"`
-	Hits    int64   `json:"hits"`
-	Misses  int64   `json:"misses"`
-	HitRate float64 `json:"hit_rate"`
-}
-
-// shadow runs one policy metadata-only against the live access stream.
-type shadow struct {
-	typ      PolicyType
-	capacity int
-	pol      evictor
-	hits     int64
-	misses   int64
-}
-
-// access mirrors Cache.Get on metadata: a resident key is a would-be hit.
-func (s *shadow) access(key string) {
-	if r, ok := s.pol.(recorder); ok {
-		r.record(key)
-	}
-	if s.pol.has(key) {
-		s.hits++
-		s.pol.touch(key)
-		return
-	}
-	s.misses++
-}
-
-// insert mirrors Cache.Put on metadata, honoring the policy's admission
-// filter and capacity.
-func (s *shadow) insert(key string) {
-	if s.pol.has(key) {
-		s.pol.touch(key)
-		return
-	}
-	if a, ok := s.pol.(admitter); ok && s.pol.len() >= s.capacity && !a.admit(key) {
-		return
-	}
-	s.pol.add(key)
-	for s.pol.len() > s.capacity {
-		v, ok := s.pol.victim()
-		if !ok {
-			break
-		}
-		s.pol.remove(v)
-	}
-}
-
-// entry is one resident value plus its size accounting.
+// entry is one resident value plus its size accounting; it is the value
+// of its element in the recency list.
 type entry struct {
+	key  string
 	v    any
 	size int64
 }
 
-// Cache is a bounded, content-addressed key→value store with pluggable
+// Cache is a bounded, content-addressed key→value store with LRU
 // eviction. All methods are safe for concurrent use by sweep workers.
 type Cache struct {
 	mu       sync.Mutex
 	capacity int
-	ptype    PolicyType
-	policy   evictor
-	values   map[string]entry
-	shadows  []*shadow
+	order    *list.List // front is the least recently used entry
+	items    map[string]*list.Element
 	codec    Codec
 
 	log *iofault.Log // nil when there is no file tier, or after degradation
@@ -157,7 +103,6 @@ type Cache struct {
 	hits           int64
 	misses         int64
 	evictions      int64
-	rejected       int64
 	warmStarts     int64
 	appendFailures int64
 	degraded       bool
@@ -173,24 +118,19 @@ type fileEntry struct {
 // New builds a cache; with Options.Path set it warm-starts from the file's
 // surviving records and opens it for fsync'd appends.
 func New(opts Options) (*Cache, error) {
-	capacity := opts.Capacity
-	if capacity <= 0 {
-		capacity = 1024
+	if opts.Path != "" && (opts.Codec.Encode == nil || opts.Codec.Decode == nil) {
+		return nil, fmt.Errorf("cache: persistent tier %q needs a codec", opts.Path)
+	}
+	if opts.Capacity < 1 {
+		return nil, fmt.Errorf("cache: capacity %d, want at least 1", opts.Capacity)
 	}
 	c := &Cache{
-		capacity: capacity,
-		ptype:    opts.Policy,
-		policy:   newEvictor(opts.Policy, capacity),
-		values:   make(map[string]entry, capacity),
+		capacity: opts.Capacity,
+		order:    list.New(),
+		items:    make(map[string]*list.Element, opts.Capacity),
 		codec:    opts.Codec,
 	}
-	for _, st := range opts.Shadows {
-		c.shadows = append(c.shadows, &shadow{typ: st, capacity: capacity, pol: newEvictor(st, capacity)})
-	}
 	if opts.Path != "" {
-		if opts.Codec.Encode == nil || opts.Codec.Decode == nil {
-			return nil, fmt.Errorf("cache: persistent tier %q needs a codec", opts.Path)
-		}
 		if err := c.openFile(opts.FS, opts.Path); err != nil {
 			return nil, err
 		}
@@ -200,7 +140,11 @@ func New(opts Options) (*Cache, error) {
 
 // openFile warm-starts from the persistent tier's surviving records and
 // opens it for append. A record that fails to decode ends the replay like
-// a torn line does: it and everything after it are truncated away.
+// a torn line does: it and everything after it are truncated away. Records
+// replay in file order, so a file holding more keys than the capacity
+// leaves its most recently appended entries resident; those, not the
+// records read, are the warm starts, and the replay's evictions are not
+// counted.
 func (c *Cache) openFile(fsys iofault.FS, path string) error {
 	if fsys == nil {
 		fsys = iofault.Disk
@@ -215,35 +159,30 @@ func (c *Cache) openFile(fsys iofault.FS, path string) error {
 			return false
 		}
 		c.insertLocked(fe.Key, v, fe.Size)
-		c.warmStarts++
 		return true
 	})
 	if err != nil {
 		return fmt.Errorf("cache: file tier: %w", err)
 	}
 	c.log = log
+	c.warmStarts = int64(c.order.Len())
+	c.evictions = 0
 	return nil
 }
 
-// Get returns the value stored under key. Every lookup — hit or miss —
-// feeds the active policy's frequency estimator and the shadow sensors.
+// Get returns the value stored under key; a hit makes key the most
+// recently used entry.
 func (c *Cache) Get(key string) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, s := range c.shadows {
-		s.access(key)
-	}
-	if r, ok := c.policy.(recorder); ok {
-		r.record(key)
-	}
-	ent, ok := c.values[key]
+	e, ok := c.items[key]
 	if !ok {
 		c.misses++
 		return nil, false
 	}
 	c.hits++
-	c.policy.touch(key)
-	return ent.v, true
+	c.order.MoveToBack(e)
+	return e.Value.(*entry).v, true
 }
 
 // Put stores a deep-copy-owned value under key. size is the caller's
@@ -254,9 +193,6 @@ func (c *Cache) Get(key string) (any, bool) {
 func (c *Cache) Put(key string, v any, size int64) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, s := range c.shadows {
-		s.insert(key)
-	}
 	var encoded []byte
 	if c.codec.Encode != nil && (size <= 0 || c.log != nil) {
 		var err error
@@ -270,19 +206,14 @@ func (c *Cache) Put(key string, v any, size int64) error {
 			size = 1
 		}
 	}
-	if old, ok := c.values[key]; ok {
-		// Content-addressed: a re-store under the same key carries the
-		// same value; refresh size accounting and recency only.
-		c.bytes += size - old.size
-		c.values[key] = entry{v: v, size: size}
-		c.policy.touch(key)
-		return nil
-	}
-	if a, ok := c.policy.(admitter); ok && len(c.values) >= c.capacity && !a.admit(key) {
-		c.rejected++
-		return nil
-	}
+	// Content-addressed: a re-store under the same key carries the same
+	// value, so only size accounting and recency change, and the file
+	// tier already holds it.
+	_, resident := c.items[key]
 	c.insertLocked(key, v, size)
+	if resident {
+		return nil
+	}
 	// A failed append degrades the tier instead of failing the Put: the
 	// cache is a memoizer, so a sweep must never fail because its
 	// accelerator's disk filled up, and the torn-tail load already makes a
@@ -296,34 +227,24 @@ func (c *Cache) Put(key string, v any, size int64) error {
 	return nil
 }
 
-// insertLocked stores the value and evicts past capacity. Caller holds mu.
+// insertLocked stores the value as the most recently used entry and
+// evicts from the cold end past capacity. Caller holds mu.
 func (c *Cache) insertLocked(key string, v any, size int64) {
-	if old, ok := c.values[key]; ok {
-		c.bytes += size - old.size
-		c.values[key] = entry{v: v, size: size}
-		c.policy.touch(key)
+	if e, ok := c.items[key]; ok {
+		ent := e.Value.(*entry)
+		c.bytes += size - ent.size
+		ent.v, ent.size = v, size
+		c.order.MoveToBack(e)
 		return
 	}
-	c.values[key] = entry{v: v, size: size}
+	c.items[key] = c.order.PushBack(&entry{key: key, v: v, size: size})
 	c.bytes += size
-	c.policy.add(key)
-	for len(c.values) > c.capacity {
-		victim, ok := c.policy.victim()
-		if !ok {
-			break
-		}
-		c.removeLocked(victim)
+	for c.order.Len() > c.capacity {
+		ent := c.order.Remove(c.order.Front()).(*entry)
+		delete(c.items, ent.key)
+		c.bytes -= ent.size
 		c.evictions++
 	}
-}
-
-// removeLocked drops a key from the store and the policy.
-func (c *Cache) removeLocked(key string) {
-	if ent, ok := c.values[key]; ok {
-		c.bytes -= ent.size
-		delete(c.values, key)
-	}
-	c.policy.remove(key)
 }
 
 // degradeLocked drops the persistent tier after an append failure: close
@@ -342,22 +263,21 @@ func (c *Cache) degradeLocked() {
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.values)
+	return c.order.Len()
 }
 
-// Stats snapshots the counters, including each shadow sensor's.
+// Stats snapshots the counters.
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := Stats{
-		Policy:     c.ptype.String(),
+		Policy:     LRU.String(),
 		Capacity:   c.capacity,
-		Entries:    len(c.values),
+		Entries:    c.order.Len(),
 		Bytes:      c.bytes,
 		Hits:       c.hits,
 		Misses:     c.misses,
 		Evictions:  c.evictions,
-		Rejected:   c.rejected,
 		WarmStarts: c.warmStarts,
 
 		AppendFailures: c.appendFailures,
@@ -365,13 +285,6 @@ func (c *Cache) Stats() Stats {
 	}
 	if total := c.hits + c.misses; total > 0 {
 		s.HitRate = float64(c.hits) / float64(total)
-	}
-	for _, sh := range c.shadows {
-		ss := ShadowStats{Policy: sh.typ.String(), Hits: sh.hits, Misses: sh.misses}
-		if total := sh.hits + sh.misses; total > 0 {
-			ss.HitRate = float64(sh.hits) / float64(total)
-		}
-		s.Shadows = append(s.Shadows, ss)
 	}
 	return s
 }

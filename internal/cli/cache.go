@@ -1,6 +1,7 @@
 package cli
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -8,69 +9,52 @@ import (
 
 	"sst/internal/cache"
 	"sst/internal/core"
-	"sst/internal/obs"
 )
 
 // CacheFlags is the -cache* flag group of the sweep commands (sst-dse,
-// sst-net, sst-serve). It registers the five flags, opens the result
+// sst-net, sst-serve). It registers the three flags, opens the result
 // cache they describe, and owns closing it and printing its stderr
 // summary, so every command wires the cache the same way.
 type CacheFlags struct {
 	enabled *bool
 	size    *int
-	policy  *string
-	shadow  *string
 	file    *string
 	c       *cache.Cache
 }
 
-// NewCacheFlags registers -cache, -cache-size, -cache-policy,
-// -cache-shadow and -cache-file on fs.
+// NewCacheFlags registers -cache, -cache-size and -cache-file on fs.
 func NewCacheFlags(fs *flag.FlagSet) *CacheFlags {
 	return &CacheFlags{
 		enabled: fs.Bool("cache", false, "memoize sweep points by config hash (repeated or overlapping grids re-simulate only what is new)"),
-		size:    fs.Int("cache-size", 4096, "result cache capacity in sweep points"),
-		policy:  fs.String("cache-policy", "lru", "eviction policy: fifo, lru, lfu or tinylfu"),
-		shadow:  fs.String("cache-shadow", "", "comma-separated policies to run as metadata-only hit-rate sensors"),
+		size:    fs.Int("cache-size", 4096, "result cache capacity in sweep points (least recently used evicted first)"),
 		file:    fs.String("cache-file", "", "persist cached results to this JSONL file and warm-start from it (implies -cache)"),
 	}
 }
 
 // Open builds the result cache the flags describe; nil when caching is
-// off. A -cache-file implies -cache. Bad policy names and an unusable
+// off. A -cache-file implies -cache. A -cache-size below 1 and an unusable
 // cache file are configuration errors.
 func (g *CacheFlags) Open() (*cache.Cache, error) {
 	if !*g.enabled && *g.file == "" {
 		return nil, nil
 	}
-	pol, err := cache.ParsePolicy(*g.policy)
-	if err != nil {
-		return nil, Configf("%v", err)
-	}
-	shadows, err := cache.ParsePolicies(*g.shadow)
-	if err != nil {
-		return nil, Configf("%v", err)
-	}
-	if g.c, err = core.NewSweepCache(*g.size, pol, shadows, *g.file); err != nil {
+	var err error
+	if g.c, err = core.NewSweepCache(*g.size, cache.LRU, nil, *g.file); err != nil {
 		return nil, Configf("%v", err)
 	}
 	return g.c, nil
 }
 
-// PrintSummary writes the one-line greppable hit/miss roll-up, plus one
-// line per shadow sensor, to stderr. Nothing when caching is off.
+// PrintSummary writes the one-line greppable hit/miss roll-up to stderr.
+// Nothing when caching is off.
 func (g *CacheFlags) PrintSummary(prog string) {
 	if g.c == nil {
 		return
 	}
 	st := g.c.Stats()
 	fmt.Fprintf(os.Stderr,
-		"%s: cache policy=%s entries=%d hits=%d misses=%d hit_rate=%.3f evictions=%d rejected=%d bytes=%d warm_starts=%d\n",
-		prog, st.Policy, st.Entries, st.Hits, st.Misses, st.HitRate, st.Evictions, st.Rejected, st.Bytes, st.WarmStarts)
-	for _, sh := range st.Shadows {
-		fmt.Fprintf(os.Stderr, "%s: cache shadow policy=%s hits=%d misses=%d hit_rate=%.3f\n",
-			prog, sh.Policy, sh.Hits, sh.Misses, sh.HitRate)
-	}
+		"%s: cache policy=%s entries=%d hits=%d misses=%d hit_rate=%.3f evictions=%d bytes=%d warm_starts=%d\n",
+		prog, st.Policy, st.Entries, st.Hits, st.Misses, st.HitRate, st.Evictions, st.Bytes, st.WarmStarts)
 }
 
 // Close closes the cache opened by Open, if any, and returns err with a
@@ -87,16 +71,18 @@ func (g *CacheFlags) Close(err error) error {
 	return err
 }
 
-// WriteCacheReport appends c's RunReport — hit/miss/eviction counters and
-// every shadow sensor — to a -metrics-out stream, after the per-point
-// metrics. Nothing is written when c is nil.
+// WriteCacheReport appends c's counters to a -metrics-out stream, after
+// the per-point metrics, as one {"cache": …} JSON object. Nothing is
+// written when c is nil.
 func WriteCacheReport(w io.Writer, c *cache.Cache) error {
 	if c == nil {
 		return nil
 	}
-	col := obs.NewCollector()
-	col.AttachCache(c)
-	return col.Report().WriteJSON(w)
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(struct {
+		Cache cache.Stats `json:"cache"`
+	}{c.Stats()})
 }
 
 // WriteFile creates path and streams write into it: the writer behind

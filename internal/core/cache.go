@@ -77,12 +77,15 @@ func ResultCodec() cache.Codec {
 }
 
 // NewSweepCache builds a result cache wired with the core codec; path ""
-// means memory-only.
+// means memory-only. The cache is LRU; policy and shadows remain for the
+// benchmark harness, which still passes them, and must be cache.LRU and
+// empty.
 func NewSweepCache(capacity int, policy cache.PolicyType, shadows []cache.PolicyType, path string) (*cache.Cache, error) {
+	if policy != cache.LRU || len(shadows) > 0 {
+		return nil, fmt.Errorf("core: result cache policy %v with %d shadow policies: only lru without shadows is supported", policy, len(shadows))
+	}
 	return cache.New(cache.Options{
 		Capacity: capacity,
-		Policy:   policy,
-		Shadows:  shadows,
 		Path:     path,
 		Codec:    ResultCodec(),
 	})

@@ -1,8 +1,8 @@
 package core
 
 // Result-cache properties: a cache-hit grid renders byte-identical to a
-// cold uncached run for every study type, at any worker count and any
-// eviction policy; cached node results are field-for-field equal to
+// cold uncached run for every study type and at any worker count; cached
+// node results are field-for-field equal to
 // simulated ones; and the codec round-trips both value kinds exactly.
 
 import (
@@ -25,9 +25,9 @@ func csvOf(t *testing.T, r Result) []byte {
 	return buf.Bytes()
 }
 
-func newTestCache(t *testing.T, policy cache.PolicyType) *cache.Cache {
+func newTestCache(t *testing.T) *cache.Cache {
 	t.Helper()
-	c, err := NewSweepCache(256, policy, nil, "")
+	c, err := NewSweepCache(256, cache.LRU, nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,14 +35,11 @@ func newTestCache(t *testing.T, policy cache.PolicyType) *cache.Cache {
 	return c
 }
 
-var allPolicies = []cache.PolicyType{cache.FIFO, cache.LRU, cache.LFU, cache.TinyLFU}
-
 // TestCachedPointBitIdentical runs every study type cold (no cache), then
 // twice against a cache — miss pass, then hit pass — and requires the hit
 // pass's rendered CSV to be byte-identical to the cold run's. The DSE
-// study additionally sweeps the full eviction-policy × worker-count
-// matrix; the remaining studies rotate through the policies so each policy
-// backs at least one study.
+// study runs at one and at three workers. Subtests carry the cache's
+// policy, lru, in their names.
 func TestCachedPointBitIdentical(t *testing.T) {
 	apps, techs, widths := []string{"stream"}, []string{"ddr3-1333"}, []int{1, 2}
 	coldGrid, err := MemTechWidthSweep(apps, techs, widths, Small, SweepOptions{Workers: 1})
@@ -51,46 +48,44 @@ func TestCachedPointBitIdentical(t *testing.T) {
 	}
 	coldCSV := csvOf(t, coldGrid)
 
-	for _, policy := range allPolicies {
-		for _, workers := range []int{1, 3} {
-			t.Run("dse/"+policy.String(), func(t *testing.T) {
-				c := newTestCache(t, policy)
-				// Arena-reusing workers must not perturb the cached bytes:
-				// the miss pass simulates on warm arenas, the hit pass reads
-				// back, and both must match the arena-free cold run.
-				opts := SweepOptions{Workers: workers, Cache: c, Arena: NewArenaPool()}
-				if _, err := MemTechWidthSweep(apps, techs, widths, Small, opts); err != nil {
-					t.Fatal(err)
+	for _, workers := range []int{1, 3} {
+		t.Run("dse/lru", func(t *testing.T) {
+			c := newTestCache(t)
+			// Arena-reusing workers must not perturb the cached bytes:
+			// the miss pass simulates on warm arenas, the hit pass reads
+			// back, and both must match the arena-free cold run.
+			opts := SweepOptions{Workers: workers, Cache: c, Arena: NewArenaPool()}
+			if _, err := MemTechWidthSweep(apps, techs, widths, Small, opts); err != nil {
+				t.Fatal(err)
+			}
+			if got := c.Stats(); got.Misses != int64(len(widths)) || got.Hits != 0 {
+				t.Fatalf("cold pass stats %+v, want %d misses 0 hits", got, len(widths))
+			}
+			warm, err := MemTechWidthSweep(apps, techs, widths, Small, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := c.Stats(); got.Hits != int64(len(widths)) {
+				t.Fatalf("hit pass stats %+v, want %d hits", got, len(widths))
+			}
+			if gotCSV := csvOf(t, warm); !bytes.Equal(gotCSV, coldCSV) {
+				t.Errorf("workers %d: cached grid CSV differs from cold run\n got %s\nwant %s",
+					workers, gotCSV, coldCSV)
+			}
+			// Field-for-field equality on the grid itself, modulo the
+			// one host-time field.
+			for i := range warm.Points {
+				w, r := *warm.Points[i].Result, *coldGrid.Points[i].Result
+				w.HostSeconds, r.HostSeconds = 0, 0
+				if !reflect.DeepEqual(w, r) {
+					t.Errorf("point %d diverged\n got %+v\nwant %+v", i, w, r)
 				}
-				if got := c.Stats(); got.Misses != int64(len(widths)) || got.Hits != 0 {
-					t.Fatalf("cold pass stats %+v, want %d misses 0 hits", got, len(widths))
-				}
-				warm, err := MemTechWidthSweep(apps, techs, widths, Small, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := c.Stats(); got.Hits != int64(len(widths)) {
-					t.Fatalf("hit pass stats %+v, want %d hits", got, len(widths))
-				}
-				if gotCSV := csvOf(t, warm); !bytes.Equal(gotCSV, coldCSV) {
-					t.Errorf("policy %s workers %d: cached grid CSV differs from cold run\n got %s\nwant %s",
-						policy, workers, gotCSV, coldCSV)
-				}
-				// Field-for-field equality on the grid itself, modulo the
-				// one host-time field.
-				for i := range warm.Points {
-					w, r := *warm.Points[i].Result, *coldGrid.Points[i].Result
-					w.HostSeconds, r.HostSeconds = 0, 0
-					if !reflect.DeepEqual(w, r) {
-						t.Errorf("point %d diverged\n got %+v\nwant %+v", i, w, r)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 
-	// The remaining study types, each under a different policy; every study
-	// runs a miss pass and a hit pass against one cache.
+	// The remaining study types; every study runs a miss pass and a hit
+	// pass against one cache.
 	type study struct {
 		name string
 		run  func(opts SweepOptions) (Result, error)
@@ -116,14 +111,13 @@ func TestCachedPointBitIdentical(t *testing.T) {
 			return NetDegradationStudy(cfg, o)
 		}},
 	}
-	for si, s := range studies {
-		policy := allPolicies[si%len(allPolicies)]
-		t.Run(s.name+"/"+policy.String(), func(t *testing.T) {
+	for _, s := range studies {
+		t.Run(s.name+"/lru", func(t *testing.T) {
 			cold, err := s.run(SweepOptions{Workers: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
-			c := newTestCache(t, policy)
+			c := newTestCache(t)
 			if _, err := s.run(SweepOptions{Workers: 2, Cache: c}); err != nil {
 				t.Fatal(err)
 			}
@@ -145,11 +139,36 @@ func TestCachedPointBitIdentical(t *testing.T) {
 	}
 }
 
+// TestNewSweepCacheArgs pins the narrowed constructor: the policy and
+// shadow parameters accept only cache.LRU and no shadows, and the
+// capacity must be at least 1 (cache.New no longer substitutes a default).
+func TestNewSweepCacheArgs(t *testing.T) {
+	c := newTestCache(t)
+	if st := c.Stats(); st.Policy != "lru" || st.Capacity != 256 {
+		t.Fatalf("stats %+v, want lru at capacity 256", st)
+	}
+	for _, tc := range []struct {
+		name     string
+		capacity int
+		policy   cache.PolicyType
+		shadows  []cache.PolicyType
+	}{
+		{"other policy", 16, cache.PolicyType(1), nil},
+		{"shadow", 16, cache.LRU, []cache.PolicyType{cache.LRU}},
+		{"zero capacity", 0, cache.LRU, nil},
+		{"negative capacity", -3, cache.LRU, nil},
+	} {
+		if _, err := NewSweepCache(tc.capacity, tc.policy, tc.shadows, ""); err == nil {
+			t.Errorf("%s: NewSweepCache accepted it", tc.name)
+		}
+	}
+}
+
 // TestRunMachineCached pins the hit/miss contract directly: second call
 // hits, results match field-for-field (modulo host time), and the returned
 // copies do not alias the cache's stored value.
 func TestRunMachineCached(t *testing.T) {
-	c := newTestCache(t, cache.LRU)
+	c := newTestCache(t)
 	cfg := SweepMachine("stream", "ddr3-1333", 1, Small)
 	r1, hit, err := RunMachineCached(context.Background(), c, cfg)
 	if err != nil || hit {

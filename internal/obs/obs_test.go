@@ -4,12 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"strings"
 	"testing"
 	"time"
 
-	"sst/internal/cache"
 	"sst/internal/core"
 	"sst/internal/par"
 	"sst/internal/sim"
@@ -316,93 +314,6 @@ func TestSweepCollectorOrderAndTrace(t *testing.T) {
 	var v any
 	if err := json.Unmarshal(buf.Bytes(), &v); err != nil {
 		t.Fatalf("sweep metrics JSON invalid: %v", err)
-	}
-}
-
-// TestRunReportCacheShadowZipf drives a Zipf-skewed repeated-grid access
-// stream through a sweep result cache carrying two shadow-policy sensors,
-// then requires the RunReport JSON to report stats for the live policy AND
-// both shadows — the observable contract the -cache-shadow CLI flag rests
-// on.
-func TestRunReportCacheShadowZipf(t *testing.T) {
-	c, err := cache.New(cache.Options{
-		Capacity: 32,
-		Policy:   cache.LRU,
-		Shadows:  []cache.PolicyType{cache.LFU, cache.TinyLFU},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	// A Zipf-skewed repeated grid: 256 distinct points, heavily reused.
-	rng := rand.New(rand.NewSource(7))
-	zipf := rand.NewZipf(rng, 1.3, 1, 255)
-	for i := 0; i < 4096; i++ {
-		key := fmt.Sprintf("grid-point-%d", zipf.Uint64())
-		if _, ok := c.Get(key); !ok {
-			if err := c.Put(key, key, 16); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-
-	col := NewCollector()
-	col.Attach(nil)
-	col.AttachCache(c)
-	rep := col.Report()
-	if rep.Cache == nil {
-		t.Fatal("report has no cache stats")
-	}
-	if rep.Cache.Policy != "lru" || rep.Cache.Hits == 0 || rep.Cache.HitRate <= 0 {
-		t.Fatalf("cache stats = %+v", rep.Cache)
-	}
-	if len(rep.Cache.Shadows) != 2 {
-		t.Fatalf("shadow stats for %d policies, want 2", len(rep.Cache.Shadows))
-	}
-
-	// The JSON rendering carries every policy by name.
-	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Cache struct {
-			Policy  string  `json:"policy"`
-			HitRate float64 `json:"hit_rate"`
-			Shadows []struct {
-				Policy  string  `json:"policy"`
-				Hits    int64   `json:"hits"`
-				HitRate float64 `json:"hit_rate"`
-			} `json:"shadows"`
-		} `json:"cache"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("report JSON invalid: %v", err)
-	}
-	if doc.Cache.Policy != "lru" {
-		t.Fatalf("JSON cache policy = %q", doc.Cache.Policy)
-	}
-	seen := map[string]bool{}
-	for _, s := range doc.Cache.Shadows {
-		seen[s.Policy] = true
-		if s.Hits == 0 || s.HitRate <= 0 {
-			t.Errorf("shadow %s reported no hits on a Zipf stream: %+v", s.Policy, s)
-		}
-	}
-	if !seen["lfu"] || !seen["tinylfu"] {
-		t.Fatalf("JSON shadows missing a policy: %v", seen)
-	}
-
-	// And the table rendering exposes the same rows for the CSV path.
-	var csv bytes.Buffer
-	if err := rep.WriteCSV(&csv); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"cache.hit_rate", "cache.shadow.lfu.hit_rate", "cache.shadow.tinylfu.hit_rate"} {
-		if !strings.Contains(csv.String(), want) {
-			t.Errorf("csv missing %s:\n%s", want, csv.String())
-		}
 	}
 }
 
